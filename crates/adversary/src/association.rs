@@ -15,8 +15,13 @@
 //!   `E` (Definition 4.12);
 //! * the chunk potential `u_D` (Definition 4.3) and the total `u(t) =
 //!   Σ u_D − n/4` (Definition 4.4) are maintained incrementally.
-
-use std::collections::{BTreeMap, HashMap};
+//!
+//! The chunk table is a dense vector indexed by chunk number (`addr >>
+//! step`). A step change merges each pair `2k, 2k+1` into slot `k` in
+//! place. Each live object's back-references are the *first words* of the
+//! one or two chunks holding its entries, so the current chunk is always
+//! `anchor >> step` and a step change never touches them: two anchors that
+//! land in the same chunk mean the object is now whole there.
 
 use pcb_heap::ObjectId;
 
@@ -44,6 +49,27 @@ struct Chunk {
     in_e: bool,
 }
 
+impl Chunk {
+    /// Whether the chunk has a non-empty association or is in `E`.
+    fn is_used(&self) -> bool {
+        self.in_e || !self.entries.is_empty()
+    }
+
+    /// `u_D` (Definition 4.3): the chunk size for chunks in `E`, otherwise
+    /// `2^ρ·sum` saturating at the chunk size.
+    fn potential(&self, step: u32, rho: u32) -> u128 {
+        let cap = 1u128 << step;
+        if self.in_e {
+            cap
+        } else {
+            cap.min((self.sum as u128) << rho)
+        }
+    }
+}
+
+/// Marks an object without back-references in [`Association::anchors`].
+const NO_ANCHOR: [u64; 2] = [u64::MAX; 2];
+
 /// The association state at one step, with `u(t)` maintained incrementally.
 #[derive(Debug, Clone)]
 pub struct Association {
@@ -52,9 +78,15 @@ pub struct Association {
     /// Density exponent `ρ`: used chunks keep `sum ≥ 2^{step−ρ}` and the
     /// chunk potential saturates at density `2^-ρ`.
     rho: u32,
-    chunks: BTreeMap<u64, Chunk>,
-    /// Live-object backrefs: object -> chunk indices holding its entries.
-    by_object: HashMap<ObjectId, Vec<u64>>,
+    /// Chunk `k` spans words `[k·2^step, (k+1)·2^step)`.
+    chunks: Vec<Chunk>,
+    /// Number of chunks with a non-empty association or in `E`.
+    used: usize,
+    /// Live-object back-references, indexed by object id: the first words
+    /// of the chunks holding the object's entries. Both anchors fall in
+    /// one chunk for a whole object and in two for a split one;
+    /// [`NO_ANCHOR`] marks an object without live entries.
+    anchors: Vec<[u64; 2]>,
     /// Σ u_D over all chunks, in words.
     u_sum: u128,
 }
@@ -65,8 +97,9 @@ impl Association {
         Association {
             step,
             rho,
-            chunks: BTreeMap::new(),
-            by_object: HashMap::new(),
+            chunks: Vec::new(),
+            used: 0,
+            anchors: Vec::new(),
             u_sum: 0,
         }
     }
@@ -93,7 +126,7 @@ impl Association {
 
     /// Number of chunks with a non-empty association or in `E`.
     pub fn used_chunks(&self) -> usize {
-        self.chunks.len()
+        self.used
     }
 
     /// The chunk index holding `addr` at the current step.
@@ -101,26 +134,57 @@ impl Association {
         addr >> self.step
     }
 
-    /// Applies `f` to the chunk at `index`, keeping `u_sum` consistent.
+    /// The words associated with the chunk at `index` (its `sum`; 0 for an
+    /// unused chunk).
+    pub fn chunk_sum(&self, index: u64) -> u64 {
+        self.chunks.get(index as usize).map_or(0, |c| c.sum)
+    }
+
+    /// Applies `f` to the chunk at `index`, keeping `u_sum` and the used
+    /// count consistent.
     fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut Chunk) -> R) -> R {
-        let chunk = self.chunks.entry(index).or_default();
-        let cap = 1u128 << self.step;
-        let before = if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
-        };
-        let r = f(chunk);
-        let after = if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
-        };
-        if chunk.entries.is_empty() && !chunk.in_e {
-            self.chunks.remove(&index);
+        let i = index as usize;
+        if i >= self.chunks.len() {
+            self.chunks.resize_with(i + 1, Chunk::default);
         }
-        self.u_sum = self.u_sum - before + after;
+        let (step, rho) = (self.step, self.rho);
+        let chunk = &mut self.chunks[i];
+        let (u_before, used_before) = (chunk.potential(step, rho), chunk.is_used());
+        let r = f(chunk);
+        self.u_sum = self.u_sum - u_before + chunk.potential(step, rho);
+        self.used = self.used + usize::from(chunk.is_used()) - usize::from(used_before);
         r
+    }
+
+    /// The back-references of `id`, if it has live entries.
+    fn anchors_of(&self, id: ObjectId) -> Option<[u64; 2]> {
+        self.anchors
+            .get(id.get() as usize)
+            .copied()
+            .filter(|&a| a != NO_ANCHOR)
+    }
+
+    fn set_anchors(&mut self, id: ObjectId, anchors: [u64; 2]) {
+        let i = id.get() as usize;
+        if i >= self.anchors.len() {
+            self.anchors.resize(i + 1, NO_ANCHOR);
+        }
+        self.anchors[i] = anchors;
+    }
+
+    /// Drops `id`'s back-reference to the chunk at `index`; an object left
+    /// with none loses its anchors.
+    fn drop_anchor(&mut self, id: ObjectId, index: u64) {
+        let Some([a, b]) = self.anchors_of(id) else {
+            return;
+        };
+        let anchors = match (a >> self.step == index, b >> self.step == index) {
+            (true, true) => NO_ANCHOR,
+            (true, false) => [b, b],
+            (false, true) => [a, a],
+            (false, false) => return,
+        };
+        self.set_anchors(id, anchors);
     }
 
     /// Associates a whole live object with the chunk at `index` (used by
@@ -136,7 +200,8 @@ impl Association {
             chunk.sum += words;
         });
         if live {
-            self.by_object.entry(id).or_default().push(index);
+            let anchor = index << self.step;
+            self.set_anchors(id, [anchor, anchor]);
         }
     }
 
@@ -144,48 +209,36 @@ impl Association {
     /// (line 12: `O_D = O_D1 ∪ O_D2`), and `E` membership lapses
     /// (Definition 4.12).
     pub fn advance_step(&mut self) {
-        let old = std::mem::take(&mut self.chunks);
         self.step += 1;
-        self.u_sum = 0;
-        for (index, mut chunk) in old {
-            let new_index = index / 2;
-            chunk.in_e = false;
-            let merged = self.chunks.entry(new_index).or_default();
-            merged.sum += chunk.sum;
-            merged.entries.append(&mut chunk.entries);
-        }
-        self.chunks.retain(|_, c| !c.entries.is_empty());
-        // An object whose two halves sat in the two merging chunks is now
-        // whole in one chunk: coalesce its half-entries so the shedding
-        // logic never sees a half without a distinct partner.
-        for chunk in self.chunks.values_mut() {
-            let mut i = 0;
-            while i < chunk.entries.len() {
-                if chunk.entries[i].half {
-                    if let Some(j) = (i + 1..chunk.entries.len())
-                        .find(|&j| chunk.entries[j].id == chunk.entries[i].id)
-                    {
-                        let other = chunk.entries.swap_remove(j);
-                        debug_assert!(other.half);
-                        chunk.entries[i].words += other.words;
-                        chunk.entries[i].half = false;
-                    }
+        let old_len = self.chunks.len();
+        for k in 0..old_len.div_ceil(2) {
+            let mut merged = std::mem::take(&mut self.chunks[2 * k]);
+            merged.in_e = false;
+            if let Some(right) = self.chunks.get_mut(2 * k + 1) {
+                let right = std::mem::take(right);
+                merged.sum += right.sum;
+                let split = merged.entries.len();
+                let both_hold_halves =
+                    merged.entries.iter().any(|e| e.half) && right.entries.iter().any(|e| e.half);
+                if merged.entries.is_empty() {
+                    merged.entries = right.entries;
+                } else {
+                    merged.entries.extend(right.entries);
                 }
-                i += 1;
+                // An object whose two halves sat in the two merging chunks
+                // is now whole in one chunk: coalesce its half-entries so
+                // the shedding logic never sees a half without a distinct
+                // partner.
+                if both_hold_halves {
+                    coalesce_halves(&mut merged.entries, split);
+                }
             }
+            self.chunks[k] = merged;
         }
-        let cap = 1u128 << self.step;
-        self.u_sum = self
-            .chunks
-            .values()
-            .map(|c| cap.min((c.sum as u128) << self.rho))
-            .sum();
-        for indices in self.by_object.values_mut() {
-            for idx in indices.iter_mut() {
-                *idx /= 2;
-            }
-            indices.dedup();
-        }
+        self.chunks.truncate(old_len.div_ceil(2));
+        let (step, rho) = (self.step, self.rho);
+        self.u_sum = self.chunks.iter().map(|c| c.potential(step, rho)).sum();
+        self.used = self.chunks.iter().filter(|c| c.is_used()).count();
     }
 
     /// Marks a (compacted-then-freed) object's entries dead; the entries
@@ -193,10 +246,13 @@ impl Association {
     /// reused (the paper's "association is not removed when an object is
     /// compacted").
     pub fn mark_dead(&mut self, id: ObjectId) {
-        let Some(indices) = self.by_object.remove(&id) else {
+        let Some([a, b]) = self.anchors_of(id) else {
             return;
         };
-        for index in indices {
+        self.set_anchors(id, NO_ANCHOR);
+        // A whole object's anchors name one chunk twice; marking is
+        // idempotent.
+        for index in [a >> self.step, b >> self.step] {
             self.update(index, |chunk| {
                 for e in chunk.entries.iter_mut().filter(|e| e.id == id) {
                     e.live = false;
@@ -207,7 +263,7 @@ impl Association {
 
     /// Whether the object currently has live entries.
     pub fn is_associated(&self, id: ObjectId) -> bool {
-        self.by_object.contains_key(&id)
+        self.anchors_of(id).is_some()
     }
 
     /// Line 13 of Algorithm 1: for every chunk, de-allocate as many
@@ -215,66 +271,121 @@ impl Association {
     /// Dropping a half re-assigns it to the partner chunk (which is then
     /// re-evaluated); dropping a whole de-allocates the object for real.
     ///
-    /// Returns the objects to free, in a deterministic order.
+    /// Chunks are visited in descending index order; after each one, the
+    /// partners that received a half are re-evaluated last-in first-out
+    /// before the next index. Which objects are freed depends on this
+    /// order, so it is part of the contract.
+    ///
+    /// Returns the objects to free, in ascending id order.
     pub fn shed_density_surplus(&mut self) -> Vec<ObjectId> {
         let threshold = 1u64 << (self.step - self.rho);
         let mut freed = Vec::new();
-        let mut worklist: Vec<u64> = self.chunks.keys().copied().collect();
-        while let Some(index) = worklist.pop() {
-            while let Some(chunk) = self.chunks.get(&index) {
-                // Droppable: live entries whose removal keeps the chunk at
-                // or above the density threshold. Prefer the largest.
-                let candidate = chunk
-                    .entries
-                    .iter()
-                    .filter(|e| e.live && chunk.sum - e.words >= threshold)
-                    .max_by_key(|e| (e.words, !e.half, e.id))
-                    .copied();
-                let Some(entry) = candidate else { break };
-                self.update(index, |chunk| {
-                    let pos = chunk
-                        .entries
-                        .iter()
-                        .position(|e| e.id == entry.id && e.half == entry.half)
-                        .expect("candidate entry present");
-                    chunk.entries.swap_remove(pos);
-                    chunk.sum -= entry.words;
-                });
-                if entry.half {
-                    // Re-assign the dropped half to the chunk holding the
-                    // other half, then re-evaluate that chunk.
-                    let partner = {
-                        let indices = self
-                            .by_object
-                            .get_mut(&entry.id)
-                            .expect("live half has backrefs");
-                        let pos = indices
-                            .iter()
-                            .position(|&i| i == index)
-                            .expect("backref to this chunk");
-                        indices.swap_remove(pos);
-                        indices[0]
-                    };
-                    self.update(partner, |chunk| {
-                        let other = chunk
-                            .entries
-                            .iter_mut()
-                            .find(|e| e.id == entry.id && e.live)
-                            .expect("partner holds the other half");
-                        debug_assert!(other.half);
-                        other.half = false;
-                        other.words += entry.words;
-                        chunk.sum += entry.words;
-                    });
-                    worklist.push(partner);
-                } else {
-                    self.by_object.remove(&entry.id);
-                    freed.push(entry.id);
-                }
+        let mut partners = Vec::new();
+        let mut drops = Vec::new();
+        for index in (0..self.chunks.len() as u64).rev() {
+            let mut next = Some(index);
+            while let Some(index) = next {
+                self.shed_chunk(index, threshold, &mut drops, &mut freed, &mut partners);
+                next = partners.pop();
             }
         }
         freed.sort_unstable();
         freed
+    }
+
+    /// Sheds one chunk down to the density threshold. Each drop takes the
+    /// largest live entry by `(words, !half, id)` whose removal keeps
+    /// `sum ≥ threshold`. The sum only falls while one chunk sheds, so an
+    /// entry too large to drop stays too large, and one pass over the
+    /// entries in descending key order makes exactly those drops.
+    fn shed_chunk(
+        &mut self,
+        index: u64,
+        threshold: u64,
+        drops: &mut Vec<(u64, bool, ObjectId, usize)>,
+        freed: &mut Vec<ObjectId>,
+        partners: &mut Vec<u64>,
+    ) {
+        let chunk = &self.chunks[index as usize];
+        let can_drop = |e: &Entry| e.live && chunk.sum - e.words >= threshold;
+        if !chunk.entries.iter().any(can_drop) {
+            return;
+        }
+        drops.clear();
+        drops.extend(
+            chunk
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.live)
+                .map(|(pos, e)| (e.words, !e.half, e.id, pos)),
+        );
+        drops.sort_unstable_by(|a, b| b.cmp(a));
+        let mut sum = chunk.sum;
+        drops.retain(|&(words, ..)| {
+            let droppable = sum - words >= threshold;
+            if droppable {
+                sum -= words;
+            }
+            droppable
+        });
+        for &(words, whole, id, _) in drops.iter() {
+            if whole {
+                self.set_anchors(id, NO_ANCHOR);
+                freed.push(id);
+                continue;
+            }
+            // Re-assign the dropped half to the chunk holding the other
+            // half; that chunk is re-evaluated next.
+            let [a, b] = self.anchors_of(id).expect("live half has anchors");
+            let other = if a >> self.step == index { b } else { a };
+            self.set_anchors(id, [other, other]);
+            let partner = other >> self.step;
+            self.update(partner, |chunk| {
+                let e = chunk
+                    .entries
+                    .iter_mut()
+                    .find(|e| e.id == id && e.live)
+                    .expect("partner holds the other half");
+                debug_assert!(e.half);
+                e.half = false;
+                e.words += words;
+                chunk.sum += words;
+            });
+            partners.push(partner);
+        }
+        // Removing in descending position order means `swap_remove` only
+        // ever moves a kept entry into a gap, so no recorded position goes
+        // stale.
+        drops.sort_unstable_by_key(|&(.., pos)| std::cmp::Reverse(pos));
+        self.update(index, |chunk| {
+            for &(.., pos) in drops.iter() {
+                chunk.entries.swap_remove(pos);
+            }
+            chunk.sum = sum;
+        });
+    }
+
+    /// Empties the chunks `d1..=d3` before a fresh allocation covers them,
+    /// dropping the back-references of any live entry they held (only
+    /// dead entries can be present on fully covered chunks, but stay
+    /// defensive).
+    fn reset_covered(&mut self, d1: u64) {
+        for index in d1..d1 + 3 {
+            let dropped: Vec<ObjectId> = self.update(index, |chunk| {
+                chunk.sum = 0;
+                chunk.in_e = false;
+                chunk
+                    .entries
+                    .drain(..)
+                    .filter(|e| e.live)
+                    .map(|e| e.id)
+                    .collect()
+            });
+            for id in dropped {
+                self.drop_anchor(id, index);
+            }
+        }
     }
 
     /// Line 14 of Algorithm 1, after placing object `o` (of size
@@ -284,23 +395,7 @@ impl Association {
     pub fn claim_new_object(&mut self, d1: u64, d2: u64, d3: u64, id: ObjectId, size: u64) {
         debug_assert!(d2 == d1 + 1 && d3 == d2 + 1, "chunks are consecutive");
         debug_assert_eq!(size, 4 << self.step, "stage-II objects span 4 chunks");
-        for index in [d1, d2, d3] {
-            let dropped = self.update(index, |chunk| {
-                chunk.sum = 0;
-                chunk.in_e = false;
-                std::mem::take(&mut chunk.entries)
-            });
-            // Remove backrefs of discarded live entries (only dead entries
-            // can be present on fully covered chunks, but stay defensive).
-            for e in dropped.iter().filter(|e| e.live) {
-                if let Some(indices) = self.by_object.get_mut(&e.id) {
-                    indices.retain(|&i| i != index);
-                    if indices.is_empty() {
-                        self.by_object.remove(&e.id);
-                    }
-                }
-            }
-        }
+        self.reset_covered(d1);
         let half = size / 2;
         for index in [d1, d3] {
             self.update(index, |chunk| {
@@ -316,7 +411,7 @@ impl Association {
         self.update(d2, |chunk| {
             chunk.in_e = true;
         });
-        self.by_object.insert(id, vec![d1, d3]);
+        self.set_anchors(id, [d1 << self.step, d3 << self.step]);
     }
 
     /// The no-halves variant of [`claim_new_object`](Self::claim_new_object)
@@ -325,38 +420,15 @@ impl Association {
     /// unassociated, and `E` is not used.
     pub fn claim_whole_object(&mut self, d1: u64, d2: u64, d3: u64, id: ObjectId, size: u64) {
         debug_assert!(d2 == d1 + 1 && d3 == d2 + 1, "chunks are consecutive");
-        for index in [d1, d2, d3] {
-            let dropped = self.update(index, |chunk| {
-                chunk.sum = 0;
-                chunk.in_e = false;
-                std::mem::take(&mut chunk.entries)
-            });
-            for e in dropped.iter().filter(|e| e.live) {
-                if let Some(indices) = self.by_object.get_mut(&e.id) {
-                    indices.retain(|&i| i != index);
-                    if indices.is_empty() {
-                        self.by_object.remove(&e.id);
-                    }
-                }
-            }
-        }
-        self.update(d1, |chunk| {
-            chunk.entries.push(Entry {
-                id,
-                words: size,
-                live: true,
-                half: false,
-            });
-            chunk.sum += size;
-        });
-        self.by_object.insert(id, vec![d1]);
+        self.reset_covered(d1);
+        self.associate_whole(d1, id, size, true);
     }
 
     /// Total words in live entries (the live space the association is
     /// holding hostage); used by tests for Proposition 4.17.
     pub fn live_associated_words(&self) -> u128 {
         self.chunks
-            .values()
+            .iter()
             .flat_map(|c| &c.entries)
             .filter(|e| e.live)
             .map(|e| e.words as u128)
@@ -364,13 +436,15 @@ impl Association {
     }
 
     /// Per-chunk view for invariant checks: `(index, sum, live_count,
-    /// entry_count, in_e)`.
+    /// entry_count, in_e)` for every used chunk, in index order.
     pub fn chunk_stats(&self) -> Vec<(u64, u64, usize, usize, bool)> {
         self.chunks
             .iter()
-            .map(|(&i, c)| {
+            .enumerate()
+            .filter(|(_, c)| c.is_used())
+            .map(|(i, c)| {
                 (
-                    i,
+                    i as u64,
                     c.sum,
                     c.entries.iter().filter(|e| e.live).count(),
                     c.entries.len(),
@@ -383,8 +457,9 @@ impl Association {
     /// Checks Claim 4.15-style structural invariants plus internal
     /// consistency; returns a description of the first violation.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut halves: HashMap<ObjectId, u32> = HashMap::new();
-        for (&index, chunk) in &self.chunks {
+        // Live halves per object id.
+        let mut halves = vec![0u8; self.anchors.len()];
+        for (index, chunk) in self.chunks.iter().enumerate() {
             let sum: u64 = chunk.entries.iter().map(|e| e.words).sum();
             if sum != chunk.sum {
                 return Err(format!("chunk {index}: sum {} != {}", chunk.sum, sum));
@@ -397,49 +472,56 @@ impl Association {
                     return Err(format!("chunk {index}: zero-word entry {}", e.id));
                 }
                 if e.live {
-                    let backrefs = self
-                        .by_object
-                        .get(&e.id)
+                    let [a, b] = self
+                        .anchors_of(e.id)
                         .ok_or_else(|| format!("live {} missing backrefs", e.id))?;
-                    if !backrefs.contains(&index) {
+                    if a >> self.step != index as u64 && b >> self.step != index as u64 {
                         return Err(format!("live {} lacks backref to {index}", e.id));
                     }
                     if e.half {
-                        *halves.entry(e.id).or_default() += 1;
+                        halves[e.id.get() as usize] += 1;
                     }
                 }
             }
         }
         // Claim 4.15(2): a live object is whole in one chunk or split as
         // two halves over two chunks.
-        for (id, indices) in &self.by_object {
-            match indices.len() {
-                1 => {}
-                2 => {
-                    if halves.get(id) != Some(&2) {
-                        return Err(format!("{id} in two chunks but not as two halves"));
-                    }
-                    if indices[0] == indices[1] {
-                        return Err(format!("{id} has duplicate chunk backrefs"));
-                    }
-                }
-                k => return Err(format!("{id} associated with {k} chunks")),
+        for (id, &[a, b]) in self.anchors.iter().enumerate() {
+            if [a, b] != NO_ANCHOR && a >> self.step != b >> self.step && halves[id] != 2 {
+                let id = ObjectId::from_raw(id as u64);
+                return Err(format!("{id} in two chunks but not as two halves"));
             }
         }
-        // u_sum agrees with a from-scratch computation.
-        let cap = 1u128 << self.step;
-        let fresh: u128 = self.chunks.values().map(|c| self.u_of_raw(c, cap)).sum();
+        // u_sum and the used count agree with a from-scratch computation.
+        let fresh: u128 = self
+            .chunks
+            .iter()
+            .map(|c| c.potential(self.step, self.rho))
+            .sum();
         if fresh != self.u_sum {
             return Err(format!("u_sum {} != fresh {}", self.u_sum, fresh));
         }
+        let used = self.chunks.iter().filter(|c| c.is_used()).count();
+        if used != self.used {
+            return Err(format!("used chunks {} != fresh {used}", self.used));
+        }
         Ok(())
     }
+}
 
-    fn u_of_raw(&self, chunk: &Chunk, cap: u128) -> u128 {
-        if chunk.in_e {
-            cap
-        } else {
-            cap.min((chunk.sum as u128) << self.rho)
+/// Merges each half in `entries[..split]` with the half of the same object
+/// in `entries[split..]`, if there is one, into a whole entry.
+fn coalesce_halves(entries: &mut Vec<Entry>, split: usize) {
+    for i in 0..split {
+        if !entries[i].half {
+            continue;
+        }
+        let id = entries[i].id;
+        if let Some(j) = (split..entries.len()).find(|&j| entries[j].id == id) {
+            let other = entries.swap_remove(j);
+            debug_assert!(other.half);
+            entries[i].words += other.words;
+            entries[i].half = false;
         }
     }
 }
@@ -483,8 +565,7 @@ mod tests {
         /// the line-14 reset semantics.
         fn claim_new_object_for_test(&mut self, d: u64, id_: ObjectId, size: u64) {
             let half = size / 2;
-            for (k, index) in [d, d + 1].into_iter().enumerate() {
-                let _ = k;
+            for index in [d, d + 1] {
                 self.update(index, |chunk| {
                     chunk.entries.push(Entry {
                         id: id_,
@@ -495,7 +576,7 @@ mod tests {
                     chunk.sum += half;
                 });
             }
-            self.by_object.insert(id_, vec![d, d + 1]);
+            self.set_anchors(id_, [d << self.step, (d + 1) << self.step]);
         }
     }
 

@@ -22,24 +22,24 @@ use pcb_heap::{Addr, Size};
 /// ```
 pub fn is_f_occupying(addr: Addr, size: Size, f: u64, i: u32) -> bool {
     debug_assert!(!size.is_zero());
-    let chunk = 1u64 << i;
-    let f = f % chunk;
-    if size.get() >= chunk {
+    if size.get() >= 1u64 << i {
         // A chunk-sized object covers every residue.
         return true;
     }
-    // First address >= addr congruent to f (mod chunk).
-    let rem = addr.get() % chunk;
-    let delta = (f + chunk - rem) % chunk;
-    delta < size.get()
+    occupying_delta(addr, f, i) < size.get()
+}
+
+/// The distance from `addr` to the first address at or above it that is
+/// congruent to `f` modulo `2^i`. Chunks are powers of two, so the
+/// residues are masks rather than divisions.
+fn occupying_delta(addr: Addr, f: u64, i: u32) -> u64 {
+    let mask = (1u64 << i) - 1;
+    f.wrapping_sub(addr.get()) & mask
 }
 
 /// The first `f`-occupying word of the object, if any.
 pub fn first_occupying_word(addr: Addr, size: Size, f: u64, i: u32) -> Option<Addr> {
-    let chunk = 1u64 << i;
-    let f = f % chunk;
-    let rem = addr.get() % chunk;
-    let delta = (f + chunk - rem) % chunk;
+    let delta = occupying_delta(addr, f, i);
     (delta < size.get()).then(|| Addr::new(addr.get() + delta))
 }
 

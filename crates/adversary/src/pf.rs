@@ -170,10 +170,6 @@ impl IdMap {
         self.slots.get_mut(id.get() as usize)?.take()
     }
 
-    fn clear(&mut self) {
-        self.slots.clear();
-    }
-
     /// Live entries in ascending id order.
     fn iter(&self) -> impl Iterator<Item = (ObjectId, LiveObj)> + '_ {
         self.slots
@@ -182,8 +178,22 @@ impl IdMap {
             .filter_map(|(i, o)| o.map(|o| (ObjectId::from_raw(i as u64), o)))
     }
 
-    fn values(&self) -> impl Iterator<Item = LiveObj> + '_ {
-        self.slots.iter().filter_map(|o| *o)
+    /// Removes every entry for which `keep` is false, calling it once per
+    /// entry in ascending id order. Returns the removed ids, in that
+    /// order, and their total words.
+    fn remove_unless(&mut self, mut keep: impl FnMut(LiveObj) -> bool) -> (Vec<ObjectId>, u64) {
+        let mut removed = Vec::new();
+        let mut words = 0;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(o) = *slot {
+                if !keep(o) {
+                    *slot = None;
+                    removed.push(ObjectId::from_raw(i as u64));
+                    words += o.size.get();
+                }
+            }
+        }
+        (removed, words)
     }
 }
 
@@ -314,25 +324,28 @@ impl PfProgram {
     fn init_association(&mut self) {
         let step = 2 * self.cfg.rho - 1;
         let mut assoc = Association::new(step, self.cfg.rho);
-        let chunk_words = 1u64 << step;
-        let mut items: Vec<(ObjectId, LiveObj, bool)> = self
-            .live
-            .iter()
-            .map(|(id, o)| (id, o, true))
-            .chain(self.ghosts.iter().map(|(id, o)| (id, o, false)))
-            .collect();
-        items.sort_by_key(|&(id, _, _)| id);
-        for (id, obj, live) in items {
+        // The ghosts are not needed past line 9. Live and ghost ids are
+        // disjoint and both tables iterate in id order, so merging them
+        // visits every object in ascending id order.
+        let ghosts = std::mem::take(&mut self.ghosts);
+        self.ghost_words = 0;
+        let mut live = self.live.iter().peekable();
+        let mut ghosts = ghosts.iter().peekable();
+        loop {
+            let is_live = match (live.peek(), ghosts.peek()) {
+                (Some((l, _)), Some((g, _))) => l < g,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let (id, obj) = if is_live { live.next() } else { ghosts.next() }.expect("peeked");
             if let Some(word) = first_occupying_word(obj.addr, obj.size, self.f, self.cfg.rho) {
                 // The occupying word is defined w.r.t. step-ρ chunks; the
                 // association chunk (size 2^{2ρ−1}) is the one containing
                 // that word.
-                let index = word.get() / chunk_words;
-                assoc.associate_whole(index, id, obj.size.get(), live);
+                assoc.associate_whole(word.get() >> step, id, obj.size.get(), is_live);
             }
         }
-        self.ghosts.clear();
-        self.ghost_words = 0;
         self.assoc = Some(assoc);
     }
 
@@ -373,35 +386,23 @@ impl Program for PfProgram {
                     self.f = self.tracker.choose();
                 }
                 let f = self.f;
-                // IdMap iteration is already in ascending id order.
-                let freed: Vec<ObjectId> = self
-                    .live
-                    .iter()
-                    .filter(|&(_, o)| !is_f_occupying(o.addr, o.size, f, i))
-                    .map(|(id, _)| id)
-                    .collect();
-                for &id in &freed {
-                    let o = self.live.remove(id).expect("selected from live");
-                    self.live_words -= o.size.get();
-                }
-                // Ghosts vanish silently (they are already de-allocated).
-                let ghost_gone: Vec<ObjectId> = self
-                    .ghosts
-                    .iter()
-                    .filter(|&(_, o)| !is_f_occupying(o.addr, o.size, f, i))
-                    .map(|(id, _)| id)
-                    .collect();
-                for id in ghost_gone {
-                    let o = self.ghosts.remove(id).expect("selected from ghosts");
-                    self.ghost_words -= o.size.get();
-                }
-                // Seed the step-(i+1) candidate scores from the surviving
-                // live-or-ghost inventory; round-`i` allocations accumulate
-                // via `placed`.
+                // One pass per table drops the non-f_i-occupying objects and
+                // seeds the step-(i+1) candidate scores from the survivors;
+                // round-`i` allocations accumulate via `placed`. Ghosts
+                // vanish silently (they are already de-allocated).
                 self.tracker.advance(f, i + 1);
-                for o in self.live.values().chain(self.ghosts.values()) {
-                    self.tracker.add(o.addr, o.size);
-                }
+                let tracker = &mut self.tracker;
+                let mut survives = |o: LiveObj| {
+                    let keep = is_f_occupying(o.addr, o.size, f, i);
+                    if keep {
+                        tracker.add(o.addr, o.size);
+                    }
+                    keep
+                };
+                let (freed, words) = self.live.remove_unless(&mut survives);
+                self.live_words -= words;
+                let (_, words) = self.ghosts.remove_unless(&mut survives);
+                self.ghost_words -= words;
                 freed
             }
             Phase::Stage2(i) => {
@@ -477,12 +478,7 @@ impl Program for PfProgram {
                 let d1 = addr.get().div_ceil(chunk);
                 debug_assert!((d1 + 3) * chunk <= addr.get() + size.get());
                 let (u_before, q) = if self.cfg.validate {
-                    let q: u64 = assoc
-                        .chunk_stats()
-                        .iter()
-                        .filter(|&&(idx, ..)| idx >= d1 && idx < d1 + 3)
-                        .map(|&(_, sum, ..)| sum)
-                        .sum();
+                    let q: u64 = (d1..d1 + 3).map(|d| assoc.chunk_sum(d)).sum();
                     (assoc.potential(self.cfg.log_n), q)
                 } else {
                     (0, 0)
