@@ -1,38 +1,7 @@
-//! Manager-side free-space index.
-//!
-//! [`FreeSpace`] tracks the gaps of a manager's heap view and answers
-//! the classic fit policies without scanning every hole — essential
-//! because the paper's adversaries deliberately shatter the heap into
-//! hundreds of thousands of holes.
-//!
-//! Two interchangeable implementations sit behind the [`MirrorImpl`]
-//! knob (`PCB_MIRROR`), exactly as `PCB_SUBSTRATE` selects the heap's
-//! occupancy substrate:
-//!
-//! * [`MirrorImpl::Indexed`] (default) — open-addressed address/end
-//!   maps, a hierarchical bitmap over gap starts, and per-size-class
-//!   bucket heaps (see `indexed.rs`);
-//! * [`MirrorImpl::Reference`] — the seed `BTreeMap<u64, u64>` address
-//!   mirror plus `BTreeSet<(len, start)>` size index, retained verbatim
-//!   as the lockstep oracle.
-//!
-//! Both choose byte-for-byte identical addresses and report identical
-//! probe counts; `tests/manager_equivalence.rs` drives them in lockstep
-//! over random scripts to pin that.
-//!
-//! The address space is unbounded above: everything at or beyond the
-//! *frontier* is free. Gaps below the frontier are kept disjoint,
-//! non-empty, and fully coalesced (no two adjacent gaps, no gap
-//! touching the frontier).
+//! Placement policies and per-take statistics over a
+//! [`FreeSpace`](crate::FreeSpace).
 
-use std::collections::{btree_map, BTreeMap, BTreeSet};
-
-use pcb_heap::{Addr, Extent, Size};
-
-use crate::indexed::IndexedFreeSpace;
-use crate::MirrorImpl;
-
-/// Placement policies over a [`FreeSpace`].
+/// Placement policies over a [`FreeSpace`](crate::FreeSpace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FitPolicy {
     /// Lowest-address gap that fits.
@@ -68,7 +37,8 @@ impl FitPolicy {
 
 /// Cost and shape statistics for a single traced take.
 ///
-/// Produced by [`FreeSpace::take_traced`]/[`FreeSpace::take_next_fit_traced`]
+/// Produced by [`FreeSpace::take_traced`](crate::FreeSpace::take_traced)/
+/// [`FreeSpace::take_next_fit_traced`](crate::FreeSpace::take_next_fit_traced)
 /// so managers can report placement effort without altering any placement
 /// decision (the traced variants choose exactly the same addresses as the
 /// untraced ones).
@@ -82,679 +52,16 @@ pub struct TakeStats {
     pub gap_len: Option<u64>,
 }
 
-/// Free-space index with coalescing and an unbounded frontier.
-///
-/// ```
-/// use pcb_alloc::{FitPolicy, FreeSpace};
-/// use pcb_heap::{Addr, Size};
-/// let mut fs = FreeSpace::new();
-/// let a = fs.take(Size::new(10), FitPolicy::FirstFit); // from frontier
-/// assert_eq!(a, Addr::new(0));
-/// fs.release(Addr::new(2), Size::new(3)); // punch a hole
-/// let b = fs.take(Size::new(3), FitPolicy::FirstFit); // reuses the hole
-/// assert_eq!(b, Addr::new(2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FreeSpace {
-    inner: Inner,
-}
-
-// One `FreeSpace` lives per manager, never in bulk collections, and
-// every take/release goes through it — boxing the indexed arm to
-// shrink the enum would buy nothing and cost a pointer chase per op.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Inner {
-    Indexed(IndexedFreeSpace),
-    Reference(ReferenceFreeSpace),
-}
-
-impl Default for FreeSpace {
-    fn default() -> Self {
-        Self::with_impl(MirrorImpl::default())
-    }
-}
-
-macro_rules! dispatch {
-    ($self:expr, $fs:ident => $body:expr) => {
-        match $self {
-            Inner::Indexed($fs) => $body,
-            Inner::Reference($fs) => $body,
-        }
-    };
-}
-
-impl FreeSpace {
-    /// Creates an index with the whole address space free, on the
-    /// default (indexed) implementation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an index on the given implementation.
-    pub fn with_impl(mirror: MirrorImpl) -> Self {
-        let inner = match mirror {
-            MirrorImpl::Indexed => Inner::Indexed(IndexedFreeSpace::new()),
-            MirrorImpl::Reference => Inner::Reference(ReferenceFreeSpace::default()),
-        };
-        Self { inner }
-    }
-
-    /// Which implementation this index runs on.
-    pub fn impl_kind(&self) -> MirrorImpl {
-        match &self.inner {
-            Inner::Indexed(_) => MirrorImpl::Indexed,
-            Inner::Reference(_) => MirrorImpl::Reference,
-        }
-    }
-
-    /// One past the highest address ever handed out.
-    pub fn frontier(&self) -> Addr {
-        dispatch!(&self.inner, fs => fs.frontier())
-    }
-
-    /// Number of interior gaps.
-    pub fn gap_count(&self) -> usize {
-        dispatch!(&self.inner, fs => fs.gap_count())
-    }
-
-    /// Total words in interior gaps.
-    pub fn gap_words(&self) -> Size {
-        dispatch!(&self.inner, fs => fs.gap_words())
-    }
-
-    /// Iterates over interior gaps in address order.
-    pub fn gaps(&self) -> impl Iterator<Item = Extent> + '_ {
-        match &self.inner {
-            Inner::Indexed(fs) => GapsIter::Indexed(fs.gaps()),
-            Inner::Reference(fs) => GapsIter::Reference(fs.by_addr.iter()),
-        }
-    }
-
-    /// The largest interior gap (zero when there is none).
-    pub fn largest_gap(&self) -> Size {
-        dispatch!(&self.inner, fs => fs.largest_gap())
-    }
-
-    /// The gap ending exactly at `addr`, if any.
-    pub fn gap_ending_at(&self, addr: Addr) -> Option<Extent> {
-        dispatch!(&self.inner, fs => fs.gap_ending_at(addr))
-    }
-
-    /// The gap starting exactly at `addr`, if any.
-    pub fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
-        dispatch!(&self.inner, fs => fs.gap_starting_at(addr))
-    }
-
-    /// The gap containing `addr`, if any.
-    pub fn gap_containing(&self, addr: Addr) -> Option<Extent> {
-        dispatch!(&self.inner, fs => fs.gap_containing(addr))
-    }
-
-    /// Claims `size` words according to `policy` (with
-    /// [`FitPolicy::NextFit`] behaving like first-fit; use
-    /// [`take_next_fit`](Self::take_next_fit) to supply a cursor).
-    ///
-    /// Never fails: the frontier always fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes.
-    pub fn take(&mut self, size: Size, policy: FitPolicy) -> Addr {
-        dispatch!(&mut self.inner, fs => fs.take(size, policy))
-    }
-
-    /// Like [`take`](Self::take), but also reports how many index probes
-    /// the policy performed and the size of the gap it carved from.
-    /// Chooses exactly the same address as [`take`](Self::take).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes.
-    pub fn take_traced(&mut self, size: Size, policy: FitPolicy) -> (Addr, TakeStats) {
-        dispatch!(&mut self.inner, fs => fs.take_traced(size, policy))
-    }
-
-    /// Like [`take`](Self::take), but fails instead of letting the frontier
-    /// pass `limit` (for arena-bounded managers). Interior gaps are always
-    /// acceptable since they lie below the frontier.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes.
-    pub fn try_take_within(&mut self, size: Size, policy: FitPolicy, limit: u64) -> Option<Addr> {
-        dispatch!(&mut self.inner, fs => fs.try_take_within(size, policy, limit))
-    }
-
-    /// Next-fit with an explicit roving cursor; returns the placement and
-    /// updates the cursor to just past it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes.
-    pub fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> Addr {
-        dispatch!(&mut self.inner, fs => fs.take_next_fit(size, cursor))
-    }
-
-    /// Like [`take_next_fit`](Self::take_next_fit), but also reports how
-    /// many gaps were examined and the size of the gap carved from.
-    /// Chooses exactly the same address and cursor update.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes.
-    pub fn take_next_fit_traced(&mut self, size: Size, cursor: &mut Addr) -> (Addr, TakeStats) {
-        dispatch!(&mut self.inner, fs => fs.take_next_fit_traced(size, cursor))
-    }
-
-    /// Claims `size` words at the lowest address that is a multiple of
-    /// `align`. Linear in the number of gaps; prefer the buddy structure
-    /// for hot aligned workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero sizes or zero alignment.
-    pub fn take_aligned(&mut self, size: Size, align: u64) -> Addr {
-        dispatch!(&mut self.inner, fs => fs.take_aligned(size, align))
-    }
-
-    /// Claims the specific extent `[start, start+size)` if it is entirely
-    /// free; returns whether it succeeded.
-    pub fn take_exact(&mut self, start: Addr, size: Size) -> bool {
-        dispatch!(&mut self.inner, fs => fs.take_exact(start, size))
-    }
-
-    /// Whether the extent `[start, start+size)` is entirely free.
-    pub fn is_free(&self, start: Addr, size: Size) -> bool {
-        dispatch!(&self.inner, fs => fs.is_free(start, size))
-    }
-
-    /// Returns `[start, start+size)` to the free pool, coalescing with
-    /// neighbouring gaps and the frontier.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if the range is already free (double release).
-    pub fn release(&mut self, start: Addr, size: Size) {
-        dispatch!(&mut self.inner, fs => fs.release(start, size))
-    }
-
-    /// Forgets everything, making the whole space free again (used by
-    /// managers that rebuild their view after a full compaction).
-    pub fn clear(&mut self) {
-        dispatch!(&mut self.inner, fs => fs.clear())
-    }
-
-    /// Publishes index high-water marks into the `pcb-metrics` plane; a
-    /// relaxed-load no-op while the plane is detached.
-    pub fn publish_metrics(&self) {
-        if let Inner::Indexed(fs) = &self.inner {
-            fs.publish_metrics();
-        }
-    }
-
-    /// Internal-consistency check for tests: the indexes agree, gaps are
-    /// disjoint, coalesced, non-empty, and below the frontier.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        dispatch!(&self.inner, fs => fs.check_invariants())
-    }
-}
-
-enum GapsIter<'a> {
-    Indexed(crate::indexed::Gaps<'a>),
-    Reference(btree_map::Iter<'a, u64, u64>),
-}
-
-impl Iterator for GapsIter<'_> {
-    type Item = Extent;
-
-    fn next(&mut self) -> Option<Extent> {
-        match self {
-            GapsIter::Indexed(it) => it.next(),
-            GapsIter::Reference(it) => it.next().map(|(&s, &l)| Extent::from_raw(s, l)),
-        }
-    }
-}
-
-/// The seed BTree-based free-space index, retained as the lockstep
-/// oracle for [`MirrorImpl::Reference`].
-#[derive(Debug, Default, Clone)]
-struct ReferenceFreeSpace {
-    /// start -> length, gaps strictly below the frontier.
-    by_addr: BTreeMap<u64, u64>,
-    /// Flat `(length, start)` index: lexicographic order groups gaps by
-    /// size with the lowest address first within each size, so every fit
-    /// policy is one or two `range` probes — no per-size inner set to
-    /// allocate and tear down on the (hot) insert/remove path.
-    by_len: BTreeSet<(u64, u64)>,
-    /// Everything at or above this address is free.
-    frontier: u64,
-}
-
-impl ReferenceFreeSpace {
-    fn frontier(&self) -> Addr {
-        Addr::new(self.frontier)
-    }
-
-    fn gap_count(&self) -> usize {
-        self.by_addr.len()
-    }
-
-    fn gap_words(&self) -> Size {
-        Size::new(self.by_addr.values().sum())
-    }
-
-    fn largest_gap(&self) -> Size {
-        Size::new(self.by_len.iter().next_back().map_or(0, |&(len, _)| len))
-    }
-
-    fn gap_ending_at(&self, addr: Addr) -> Option<Extent> {
-        self.by_addr
-            .range(..addr.get())
-            .next_back()
-            .filter(|&(&s, &l)| s + l == addr.get())
-            .map(|(&s, &l)| Extent::from_raw(s, l))
-    }
-
-    fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
-        self.by_addr
-            .get(&addr.get())
-            .map(|&l| Extent::from_raw(addr.get(), l))
-    }
-
-    fn gap_containing(&self, addr: Addr) -> Option<Extent> {
-        self.by_addr
-            .range(..=addr.get())
-            .next_back()
-            .filter(|&(&s, &l)| addr.get() < s + l)
-            .map(|(&s, &l)| Extent::from_raw(s, l))
-    }
-
-    fn index_remove(&mut self, start: u64, len: u64) {
-        let present = self.by_len.remove(&(len, start));
-        debug_assert!(present, "by_len and by_addr agree");
-    }
-
-    fn gap_remove(&mut self, start: u64) -> u64 {
-        let len = self
-            .by_addr
-            .remove(&start)
-            .expect("gap exists when removed");
-        self.index_remove(start, len);
-        len
-    }
-
-    fn gap_insert(&mut self, start: u64, len: u64) {
-        debug_assert!(len > 0);
-        debug_assert!(start + len <= self.frontier);
-        self.by_addr.insert(start, len);
-        self.by_len.insert((len, start));
-    }
-
-    fn take(&mut self, size: Size, policy: FitPolicy) -> Addr {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let pick = match policy {
-            FitPolicy::FirstFit | FitPolicy::NextFit => self.pick_first(s),
-            FitPolicy::BestFit => self.pick_best(s),
-            FitPolicy::WorstFit => self.pick_worst(s),
-        };
-        match pick {
-            Some(start) => self.carve(start, s),
-            None => self.take_frontier(s),
-        }
-    }
-
-    fn take_traced(&mut self, size: Size, policy: FitPolicy) -> (Addr, TakeStats) {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let (pick, probes) = match policy {
-            FitPolicy::FirstFit | FitPolicy::NextFit => self.pick_first_traced(s),
-            FitPolicy::BestFit => (self.pick_best(s), 1),
-            FitPolicy::WorstFit => (self.pick_worst(s), 2),
-        };
-        match pick {
-            Some(start) => {
-                let gap_len = self.by_addr.get(&start).copied();
-                (self.carve(start, s), TakeStats { probes, gap_len })
-            }
-            None => (
-                self.take_frontier(s),
-                TakeStats {
-                    probes,
-                    gap_len: None,
-                },
-            ),
-        }
-    }
-
-    fn try_take_within(&mut self, size: Size, policy: FitPolicy, limit: u64) -> Option<Addr> {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let pick = match policy {
-            FitPolicy::FirstFit | FitPolicy::NextFit => self.pick_first(s),
-            FitPolicy::BestFit => self.pick_best(s),
-            FitPolicy::WorstFit => self.pick_worst(s),
-        };
-        match pick {
-            Some(start) => Some(self.carve(start, s)),
-            None if self.frontier + s <= limit => Some(self.take_frontier(s)),
-            None => None,
-        }
-    }
-
-    fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> Addr {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let from = cursor.get();
-        // Fast path: if no gap anywhere fits, go straight to the frontier
-        // instead of scanning every hole (adversarial workloads shatter
-        // the heap into hundreds of thousands of too-small holes).
-        let any_fits = self.by_len.range((s, 0)..).next().is_some();
-        let found = if !any_fits {
-            None
-        } else {
-            self.by_addr
-                .range(from..)
-                .find(|&(_, &len)| len >= s)
-                .map(|(&start, _)| start)
-                .or_else(|| {
-                    self.by_addr
-                        .range(..from)
-                        .find(|&(_, &len)| len >= s)
-                        .map(|(&start, _)| start)
-                })
-        };
-        let addr = match found {
-            Some(start) => self.carve(start, s),
-            None => self.take_frontier(s),
-        };
-        *cursor = addr + size;
-        addr
-    }
-
-    fn take_next_fit_traced(&mut self, size: Size, cursor: &mut Addr) -> (Addr, TakeStats) {
-        assert!(!size.is_zero(), "cannot take zero words");
-        let s = size.get();
-        let from = cursor.get();
-        let mut probes = 1u64; // the any-fits pre-check
-        let any_fits = self.by_len.range((s, 0)..).next().is_some();
-        let mut found = None;
-        if any_fits {
-            for (&start, &len) in self.by_addr.range(from..) {
-                probes += 1;
-                if len >= s {
-                    found = Some(start);
-                    break;
-                }
-            }
-            if found.is_none() {
-                for (&start, &len) in self.by_addr.range(..from) {
-                    probes += 1;
-                    if len >= s {
-                        found = Some(start);
-                        break;
-                    }
-                }
-            }
-        }
-        let (addr, gap_len) = match found {
-            Some(start) => {
-                let gap_len = self.by_addr.get(&start).copied();
-                (self.carve(start, s), gap_len)
-            }
-            None => (self.take_frontier(s), None),
-        };
-        *cursor = addr + size;
-        (addr, TakeStats { probes, gap_len })
-    }
-
-    fn take_aligned(&mut self, size: Size, align: u64) -> Addr {
-        assert!(!size.is_zero(), "cannot take zero words");
-        assert!(align > 0, "alignment must be positive");
-        let s = size.get();
-        let found = self.by_addr.iter().find_map(|(&start, &len)| {
-            let a = Addr::new(start).align_up(align).get();
-            (a + s <= start + len).then_some((start, a))
-        });
-        match found {
-            Some((start, at)) => self.carve_at(start, at, s),
-            None => {
-                let at = Addr::new(self.frontier).align_up(align).get();
-                if at > self.frontier {
-                    // The skipped run below the new frontier becomes a gap.
-                    let skip_start = self.frontier;
-                    self.frontier = at + s;
-                    self.gap_insert(skip_start, at - skip_start);
-                    self.coalesce_around(skip_start);
-                } else {
-                    self.frontier = at + s;
-                }
-                Addr::new(at)
-            }
-        }
-    }
-
-    fn take_exact(&mut self, start: Addr, size: Size) -> bool {
-        if size.is_zero() {
-            return true;
-        }
-        let s = size.get();
-        let at = start.get();
-        if at >= self.frontier {
-            // Entirely in frontier space.
-            let skip_start = self.frontier;
-            self.frontier = at + s;
-            if at > skip_start {
-                self.gap_insert(skip_start, at - skip_start);
-                self.coalesce_around(skip_start);
-            }
-            return true;
-        }
-        // Must lie inside a single gap (possibly extending into frontier
-        // space only if the gap touches... gaps never touch the frontier,
-        // so the extent must fit inside one gap).
-        let Some((&gstart, &glen)) = self.by_addr.range(..=at).next_back() else {
-            return false;
-        };
-        if at + s > gstart + glen {
-            return false;
-        }
-        self.carve_at(gstart, at, s);
-        true
-    }
-
-    fn is_free(&self, start: Addr, size: Size) -> bool {
-        if size.is_zero() {
-            return true;
-        }
-        let at = start.get();
-        let s = size.get();
-        if at >= self.frontier {
-            return true;
-        }
-        match self.by_addr.range(..=at).next_back() {
-            Some((&gstart, &glen)) => at >= gstart && at + s <= gstart + glen,
-            None => false,
-        }
-    }
-
-    fn pick_first(&self, size: u64) -> Option<u64> {
-        // Min start over every fitting size class: hop from class to class
-        // (the first entry of each is its lowest start), skipping the rest
-        // of each class with a fresh range probe.
-        let mut best: Option<u64> = None;
-        let mut from = size;
-        while let Some(&(len, start)) = self.by_len.range((from, 0)..).next() {
-            best = Some(best.map_or(start, |b| b.min(start)));
-            match len.checked_add(1) {
-                Some(next) => from = next,
-                None => break,
-            }
-        }
-        best
-    }
-
-    /// [`pick_first`](Self::pick_first) plus the number of size-class range
-    /// probes it issued (including the final empty one).
-    fn pick_first_traced(&self, size: u64) -> (Option<u64>, u64) {
-        let mut best: Option<u64> = None;
-        let mut probes = 0u64;
-        let mut from = size;
-        loop {
-            probes += 1;
-            match self.by_len.range((from, 0)..).next() {
-                Some(&(len, start)) => {
-                    best = Some(best.map_or(start, |b| b.min(start)));
-                    match len.checked_add(1) {
-                        Some(next) => from = next,
-                        None => break,
-                    }
-                }
-                None => break,
-            }
-        }
-        (best, probes)
-    }
-
-    fn pick_best(&self, size: u64) -> Option<u64> {
-        // Smallest fitting size, lowest start: the very first entry.
-        self.by_len
-            .range((size, 0)..)
-            .next()
-            .map(|&(_, start)| start)
-    }
-
-    fn pick_worst(&self, size: u64) -> Option<u64> {
-        // Largest size... but the LOWEST start within it, so probe the
-        // size class again from its bottom.
-        let &(max_len, _) = self.by_len.iter().next_back()?;
-        if max_len < size {
-            return None;
-        }
-        self.by_len
-            .range((max_len, 0)..)
-            .next()
-            .map(|&(_, start)| start)
-    }
-
-    fn take_frontier(&mut self, size: u64) -> Addr {
-        let at = self.frontier;
-        self.frontier += size;
-        Addr::new(at)
-    }
-
-    /// Removes `size` words from the front of the gap at `start`.
-    fn carve(&mut self, start: u64, size: u64) -> Addr {
-        self.carve_at(start, start, size)
-    }
-
-    /// Removes `[at, at+size)` from inside the gap starting at `start`.
-    fn carve_at(&mut self, start: u64, at: u64, size: u64) -> Addr {
-        let len = self.gap_remove(start);
-        debug_assert!(start <= at && at + size <= start + len);
-        if at > start {
-            self.gap_insert(start, at - start);
-        }
-        let tail = (start + len) - (at + size);
-        if tail > 0 {
-            self.gap_insert(at + size, tail);
-        }
-        Addr::new(at)
-    }
-
-    fn release(&mut self, start: Addr, size: Size) {
-        if size.is_zero() {
-            return;
-        }
-        let at = start.get();
-        let len = size.get();
-        debug_assert!(
-            at + len <= self.frontier,
-            "released range [{at}, {}) must be below the frontier {}",
-            at + len,
-            self.frontier
-        );
-        self.gap_insert(at, len);
-        self.coalesce_around(at);
-    }
-
-    fn coalesce_around(&mut self, at: u64) {
-        // Merge with predecessor.
-        let mut start = at;
-        let mut len = *self.by_addr.get(&at).expect("gap just inserted");
-        if let Some((&pstart, &plen)) = self.by_addr.range(..start).next_back() {
-            if pstart + plen == start {
-                self.gap_remove(pstart);
-                self.gap_remove(start);
-                start = pstart;
-                len += plen;
-                self.gap_insert(start, len);
-            }
-        }
-        // Merge with successor.
-        if let Some((&nstart, &nlen)) = self.by_addr.range(start + 1..).next() {
-            if start + len == nstart {
-                self.gap_remove(start);
-                self.gap_remove(nstart);
-                len += nlen;
-                self.gap_insert(start, len);
-            }
-        }
-        // Retreat the frontier over a gap that now touches it.
-        if start + len == self.frontier {
-            self.gap_remove(start);
-            self.frontier = start;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.by_addr.clear();
-        self.by_len.clear();
-        self.frontier = 0;
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        let mut prev_end: Option<u64> = None;
-        for (&start, &len) in &self.by_addr {
-            if len == 0 {
-                return Err(format!("empty gap at {start}"));
-            }
-            if let Some(pe) = prev_end {
-                if start < pe {
-                    return Err(format!("overlapping gaps at {start}"));
-                }
-                if start == pe {
-                    return Err(format!("uncoalesced gaps at {start}"));
-                }
-            }
-            if start + len > self.frontier {
-                return Err(format!("gap [{start},{}) above frontier", start + len));
-            }
-            if start + len == self.frontier {
-                return Err(format!("gap touching frontier at {start}"));
-            }
-            if !self.by_len.contains(&(len, start)) {
-                return Err(format!("gap [{start},{len}] missing from size index"));
-            }
-            prev_end = Some(start + len);
-        }
-        let indexed: u64 = self.by_len.iter().map(|&(len, _)| len).sum();
-        let direct: u64 = self.by_addr.values().sum();
-        if indexed != direct {
-            return Err(format!("size index mismatch: {indexed} != {direct}"));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceFreeSpace;
+    use crate::FreeSpace;
+    use pcb_heap::{Addr, Extent, Size};
 
-    fn fs_with_holes(mirror: MirrorImpl) -> FreeSpace {
+    fn fs_with_holes() -> FreeSpace {
         // Layout: [0,4) used, [4,8) free, [8,20) used, [20,30) free, [30,40) used.
-        let mut fs = FreeSpace::with_impl(mirror);
+        let mut fs = FreeSpace::new();
         let a = fs.take(Size::new(40), FitPolicy::FirstFit);
         assert_eq!(a, Addr::new(0));
         fs.release(Addr::new(4), Size::new(4));
@@ -765,179 +72,155 @@ mod tests {
 
     #[test]
     fn first_fit_prefers_lowest_address() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(4));
-            assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(20));
-            fs.check_invariants().unwrap();
-        }
+        let mut fs = fs_with_holes();
+        assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(4));
+        assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(20));
+        fs.check_invariants().unwrap();
     }
 
     #[test]
     fn best_fit_prefers_tightest_gap() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            assert_eq!(fs.take(Size::new(3), FitPolicy::BestFit), Addr::new(4));
-            fs.check_invariants().unwrap();
-        }
+        let mut fs = fs_with_holes();
+        assert_eq!(fs.take(Size::new(3), FitPolicy::BestFit), Addr::new(4));
+        fs.check_invariants().unwrap();
     }
 
     #[test]
     fn worst_fit_prefers_largest_gap() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            assert_eq!(fs.take(Size::new(3), FitPolicy::WorstFit), Addr::new(20));
-            fs.check_invariants().unwrap();
-        }
+        let mut fs = fs_with_holes();
+        assert_eq!(fs.take(Size::new(3), FitPolicy::WorstFit), Addr::new(20));
+        fs.check_invariants().unwrap();
     }
 
     #[test]
     fn frontier_used_when_nothing_fits() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            assert_eq!(fs.take(Size::new(11), FitPolicy::FirstFit), Addr::new(40));
-            assert_eq!(fs.frontier(), Addr::new(51));
-            fs.check_invariants().unwrap();
-        }
+        let mut fs = fs_with_holes();
+        assert_eq!(fs.take(Size::new(11), FitPolicy::FirstFit), Addr::new(40));
+        assert_eq!(fs.frontier(), Addr::new(51));
+        fs.check_invariants().unwrap();
     }
 
     #[test]
     fn release_coalesces_both_sides_and_frontier() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = FreeSpace::with_impl(mirror);
-            fs.take(Size::new(30), FitPolicy::FirstFit);
-            fs.release(Addr::new(0), Size::new(10));
-            fs.release(Addr::new(20), Size::new(5));
-            fs.release(Addr::new(10), Size::new(10)); // bridges both gaps
-            fs.check_invariants().unwrap();
-            assert_eq!(fs.gap_count(), 1);
-            assert_eq!(fs.gap_words(), Size::new(25));
-            fs.release(Addr::new(25), Size::new(5)); // touches frontier: retreat
-            fs.check_invariants().unwrap();
-            assert_eq!(fs.frontier(), Addr::new(0));
-            assert_eq!(fs.gap_count(), 0);
-        }
+        let mut fs = FreeSpace::new();
+        fs.take(Size::new(30), FitPolicy::FirstFit);
+        fs.release(Addr::new(0), Size::new(10));
+        fs.release(Addr::new(20), Size::new(5));
+        fs.release(Addr::new(10), Size::new(10)); // bridges both gaps
+        fs.check_invariants().unwrap();
+        assert_eq!(fs.gap_count(), 1);
+        assert_eq!(fs.gap_words(), Size::new(25));
+        fs.release(Addr::new(25), Size::new(5)); // touches frontier: retreat
+        fs.check_invariants().unwrap();
+        assert_eq!(fs.frontier(), Addr::new(0));
+        assert_eq!(fs.gap_count(), 0);
     }
 
     #[test]
     fn next_fit_roves_and_wraps() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            let mut cursor = Addr::new(10);
-            // From 10: first fitting gap at/after 10 is [20,30).
-            assert_eq!(fs.take_next_fit(Size::new(2), &mut cursor), Addr::new(20));
-            assert_eq!(cursor, Addr::new(22));
-            // [22,30) fits again.
-            assert_eq!(fs.take_next_fit(Size::new(8), &mut cursor), Addr::new(22));
-            // Nothing at/after 30 fits 4 words; wraps to [4,8).
-            assert_eq!(fs.take_next_fit(Size::new(4), &mut cursor), Addr::new(4));
-            // Nothing interior fits 4 words; frontier.
-            assert_eq!(fs.take_next_fit(Size::new(4), &mut cursor), Addr::new(40));
-            fs.check_invariants().unwrap();
-        }
+        let mut fs = fs_with_holes();
+        let mut cursor = Addr::new(10);
+        // From 10: first fitting gap at/after 10 is [20,30).
+        assert_eq!(fs.take_next_fit(Size::new(2), &mut cursor), Addr::new(20));
+        assert_eq!(cursor, Addr::new(22));
+        // [22,30) fits again.
+        assert_eq!(fs.take_next_fit(Size::new(8), &mut cursor), Addr::new(22));
+        // Nothing at/after 30 fits 4 words; wraps to [4,8).
+        assert_eq!(fs.take_next_fit(Size::new(4), &mut cursor), Addr::new(4));
+        // Nothing interior fits 4 words; frontier.
+        assert_eq!(fs.take_next_fit(Size::new(4), &mut cursor), Addr::new(40));
+        fs.check_invariants().unwrap();
     }
 
     #[test]
     fn aligned_take_from_gap_and_frontier() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = FreeSpace::with_impl(mirror);
-            fs.take(Size::new(33), FitPolicy::FirstFit);
-            fs.release(Addr::new(5), Size::new(12)); // gap [5,17)
-                                                     // Aligned to 8: candidate 8, needs [8,16) ⊆ [5,17) ✓
-            assert_eq!(fs.take_aligned(Size::new(8), 8), Addr::new(8));
-            fs.check_invariants().unwrap();
-            // Next aligned-8 request: gap remnants [5,8) and [16,17) too small;
-            // frontier 33 aligns up to 40, leaving [33,40) as a gap.
-            assert_eq!(fs.take_aligned(Size::new(8), 8), Addr::new(40));
-            fs.check_invariants().unwrap();
-            assert!(fs.is_free(Addr::new(33), Size::new(7)));
-            assert_eq!(fs.frontier(), Addr::new(48));
-        }
+        let mut fs = FreeSpace::new();
+        fs.take(Size::new(33), FitPolicy::FirstFit);
+        fs.release(Addr::new(5), Size::new(12)); // gap [5,17)
+                                                 // Aligned to 8: candidate 8, needs [8,16) ⊆ [5,17) ✓
+        assert_eq!(fs.take_aligned(Size::new(8), 8), Addr::new(8));
+        fs.check_invariants().unwrap();
+        // Next aligned-8 request: gap remnants [5,8) and [16,17) too small;
+        // frontier 33 aligns up to 40, leaving [33,40) as a gap.
+        assert_eq!(fs.take_aligned(Size::new(8), 8), Addr::new(40));
+        fs.check_invariants().unwrap();
+        assert!(fs.is_free(Addr::new(33), Size::new(7)));
+        assert_eq!(fs.frontier(), Addr::new(48));
     }
 
     #[test]
     fn take_exact_inside_gap_and_frontier() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = FreeSpace::with_impl(mirror);
-            fs.take(Size::new(20), FitPolicy::FirstFit);
-            fs.release(Addr::new(4), Size::new(8)); // gap [4,12)
-            assert!(fs.take_exact(Addr::new(6), Size::new(4))); // middle of the gap
-            fs.check_invariants().unwrap();
-            assert!(!fs.take_exact(Addr::new(10), Size::new(4))); // [10,14) partly used
-            assert!(fs.take_exact(Addr::new(30), Size::new(5))); // frontier, skips [20,30)
-            fs.check_invariants().unwrap();
-            assert!(fs.is_free(Addr::new(20), Size::new(10)));
-            assert_eq!(fs.frontier(), Addr::new(35));
-        }
+        let mut fs = FreeSpace::new();
+        fs.take(Size::new(20), FitPolicy::FirstFit);
+        fs.release(Addr::new(4), Size::new(8)); // gap [4,12)
+        assert!(fs.take_exact(Addr::new(6), Size::new(4))); // middle of the gap
+        fs.check_invariants().unwrap();
+        assert!(!fs.take_exact(Addr::new(10), Size::new(4))); // [10,14) partly used
+        assert!(fs.take_exact(Addr::new(30), Size::new(5))); // frontier, skips [20,30)
+        fs.check_invariants().unwrap();
+        assert!(fs.is_free(Addr::new(20), Size::new(10)));
+        assert_eq!(fs.frontier(), Addr::new(35));
     }
 
     #[test]
     fn is_free_queries() {
-        for mirror in MirrorImpl::ALL {
-            let fs = fs_with_holes(mirror);
-            assert!(fs.is_free(Addr::new(4), Size::new(4)));
-            assert!(!fs.is_free(Addr::new(4), Size::new(5)));
-            assert!(!fs.is_free(Addr::new(0), Size::new(1)));
-            assert!(fs.is_free(Addr::new(40), Size::new(1_000_000)));
-            assert!(fs.is_free(Addr::new(25), Size::new(5)));
-            assert!(!fs.is_free(Addr::new(25), Size::new(6)));
-        }
+        let fs = fs_with_holes();
+        assert!(fs.is_free(Addr::new(4), Size::new(4)));
+        assert!(!fs.is_free(Addr::new(4), Size::new(5)));
+        assert!(!fs.is_free(Addr::new(0), Size::new(1)));
+        assert!(fs.is_free(Addr::new(40), Size::new(1_000_000)));
+        assert!(fs.is_free(Addr::new(25), Size::new(5)));
+        assert!(!fs.is_free(Addr::new(25), Size::new(6)));
     }
 
     #[test]
     fn clear_resets_everything() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            fs.clear();
-            assert_eq!(fs.frontier(), Addr::ZERO);
-            assert_eq!(fs.gap_count(), 0);
-            assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(0));
-        }
+        let mut fs = fs_with_holes();
+        fs.clear();
+        assert_eq!(fs.frontier(), Addr::ZERO);
+        assert_eq!(fs.gap_count(), 0);
+        assert_eq!(fs.take(Size::new(4), FitPolicy::FirstFit), Addr::new(0));
     }
 
     #[test]
     fn traced_takes_match_untraced_choices() {
-        for mirror in MirrorImpl::ALL {
-            for policy in FitPolicy::ALL {
-                let mut plain = fs_with_holes(mirror);
-                let mut traced = fs_with_holes(mirror);
-                let mut plain_cursor = Addr::new(10);
-                let mut traced_cursor = Addr::new(10);
-                for step in 0..6u64 {
-                    let size = Size::new(2 + step % 5);
-                    let (a, b) = if policy == FitPolicy::NextFit {
-                        let a = plain.take_next_fit(size, &mut plain_cursor);
-                        let (b, t) = traced.take_next_fit_traced(size, &mut traced_cursor);
-                        assert!(t.probes >= 1);
-                        (a, b)
-                    } else {
-                        let a = plain.take(size, policy);
-                        let (b, t) = traced.take_traced(size, policy);
-                        assert!(t.probes >= 1);
-                        if let Some(len) = t.gap_len {
-                            assert!(len >= size.get());
-                        }
-                        (a, b)
-                    };
-                    assert_eq!(a, b, "{policy:?} step {step}");
-                }
-                assert_eq!(plain_cursor, traced_cursor);
-                traced.check_invariants().unwrap();
+        for policy in FitPolicy::ALL {
+            let mut plain = fs_with_holes();
+            let mut traced = fs_with_holes();
+            let mut plain_cursor = Addr::new(10);
+            let mut traced_cursor = Addr::new(10);
+            for step in 0..6u64 {
+                let size = Size::new(2 + step % 5);
+                let (a, b) = if policy == FitPolicy::NextFit {
+                    let a = plain.take_next_fit(size, &mut plain_cursor);
+                    let (b, t) = traced.take_next_fit_traced(size, &mut traced_cursor);
+                    assert!(t.probes >= 1);
+                    (a, b)
+                } else {
+                    let a = plain.take(size, policy);
+                    let (b, t) = traced.take_traced(size, policy);
+                    assert!(t.probes >= 1);
+                    if let Some(len) = t.gap_len {
+                        assert!(len >= size.get());
+                    }
+                    (a, b)
+                };
+                assert_eq!(a, b, "{policy:?} step {step}");
             }
+            assert_eq!(plain_cursor, traced_cursor);
+            traced.check_invariants().unwrap();
         }
     }
 
     #[test]
     fn traced_take_reports_gap_and_frontier() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = fs_with_holes(mirror);
-            let (addr, t) = fs.take_traced(Size::new(4), FitPolicy::FirstFit);
-            assert_eq!(addr, Addr::new(4));
-            assert_eq!(t.gap_len, Some(4));
-            let (addr, t) = fs.take_traced(Size::new(11), FitPolicy::FirstFit);
-            assert_eq!(addr, Addr::new(40), "frontier serve");
-            assert_eq!(t.gap_len, None);
-        }
+        let mut fs = fs_with_holes();
+        let (addr, t) = fs.take_traced(Size::new(4), FitPolicy::FirstFit);
+        assert_eq!(addr, Addr::new(4));
+        assert_eq!(t.gap_len, Some(4));
+        let (addr, t) = fs.take_traced(Size::new(11), FitPolicy::FirstFit);
+        assert_eq!(addr, Addr::new(40), "frontier serve");
+        assert_eq!(t.gap_len, None);
     }
 
     #[test]
@@ -948,31 +231,27 @@ mod tests {
 
     #[test]
     fn many_interleaved_ops_keep_invariants() {
-        for mirror in MirrorImpl::ALL {
-            let mut fs = FreeSpace::with_impl(mirror);
-            let mut live: Vec<(Addr, Size)> = Vec::new();
-            for i in 0..500u64 {
-                let size = Size::new(1 + (i * 7) % 13);
-                let addr = fs.take(size, FitPolicy::ALL[(i % 4) as usize]);
-                live.push((addr, size));
-                if i % 3 == 0 {
-                    let (a, s) = live.remove((i as usize * 5) % live.len());
-                    fs.release(a, s);
-                }
-                fs.check_invariants().unwrap();
+        let mut fs = FreeSpace::new();
+        let mut live: Vec<(Addr, Size)> = Vec::new();
+        for i in 0..500u64 {
+            let size = Size::new(1 + (i * 7) % 13);
+            let addr = fs.take(size, FitPolicy::ALL[(i % 4) as usize]);
+            live.push((addr, size));
+            if i % 3 == 0 {
+                let (a, s) = live.remove((i as usize * 5) % live.len());
+                fs.release(a, s);
             }
+            fs.check_invariants().unwrap();
         }
     }
 
     #[test]
     fn implementations_stay_in_lockstep() {
-        // A denser cross-check than the proptests: drive both impls
-        // through an identical mixed script and compare every
+        // A denser cross-check than the proptests: drive the index and
+        // the seed index through an identical mixed script and compare every
         // observable after every operation.
-        let mut ind = FreeSpace::with_impl(MirrorImpl::Indexed);
-        let mut refr = FreeSpace::with_impl(MirrorImpl::Reference);
-        assert_eq!(ind.impl_kind(), MirrorImpl::Indexed);
-        assert_eq!(refr.impl_kind(), MirrorImpl::Reference);
+        let mut ind = FreeSpace::new();
+        let mut refr = ReferenceFreeSpace::new();
         let mut live: Vec<(Addr, Size)> = Vec::new();
         let mut cursor_i = Addr::ZERO;
         let mut cursor_r = Addr::ZERO;

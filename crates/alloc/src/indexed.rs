@@ -1,9 +1,19 @@
-//! Indexed free-space mirror: the fast half of the `PCB_MIRROR` knob.
+//! Manager-side free-space index.
 //!
-//! The seed [`FreeSpace`](crate::FreeSpace) keeps a `BTreeMap` keyed by
-//! gap start plus a `BTreeSet` keyed by `(len, start)`; every hot
-//! operation pays a tree walk and a rebalance. This module answers the
-//! same queries from flat structures:
+//! [`FreeSpace`] tracks the gaps of a manager's heap view and answers the
+//! classic fit policies without scanning every hole — essential because
+//! the paper's adversaries deliberately shatter the heap into hundreds of
+//! thousands of holes.
+//!
+//! The address space is unbounded above: everything at or beyond the
+//! *frontier* is free. Gaps below the frontier are kept disjoint,
+//! non-empty, and fully coalesced (no two adjacent gaps, no gap touching
+//! the frontier).
+//!
+//! The seed index, [`ReferenceFreeSpace`](crate::reference::ReferenceFreeSpace),
+//! keeps a `BTreeMap` keyed by gap start plus a `BTreeSet` keyed by
+//! `(len, start)`; every hot operation pays a tree walk and a rebalance.
+//! This module answers the same queries from flat structures:
 //!
 //! * [`AddrMap`] — an open-addressed `u64 -> u64` hash (fibonacci
 //!   hashing, linear probing, backward-shift deletion) used twice: gap
@@ -19,8 +29,8 @@
 //!   very few distinct large sizes).
 //!
 //! Every public operation chooses byte-for-byte the same address — and
-//! reports the same probe counts — as the reference implementation; the
-//! lockstep proptests in `tests/manager_equivalence.rs` pin that.
+//! reports the same probe counts — as the seed index; the lockstep
+//! proptests in `tests/manager_equivalence.rs` pin that.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -325,11 +335,20 @@ impl StartBits {
     }
 }
 
-/// The indexed free-space mirror behind [`MirrorImpl::Indexed`].
+/// Free-space index with coalescing and an unbounded frontier.
 ///
-/// [`MirrorImpl::Indexed`]: crate::MirrorImpl::Indexed
+/// ```
+/// use pcb_alloc::{FitPolicy, FreeSpace};
+/// use pcb_heap::{Addr, Size};
+/// let mut fs = FreeSpace::new();
+/// let a = fs.take(Size::new(10), FitPolicy::FirstFit); // from frontier
+/// assert_eq!(a, Addr::new(0));
+/// fs.release(Addr::new(2), Size::new(3)); // punch a hole
+/// let b = fs.take(Size::new(3), FitPolicy::FirstFit); // reuses the hole
+/// assert_eq!(b, Addr::new(2));
+/// ```
 #[derive(Debug, Clone)]
-pub(crate) struct IndexedFreeSpace {
+pub struct FreeSpace {
     /// start -> length, gaps strictly below the frontier.
     by_start: AddrMap,
     /// One bit per gap start, for ordered iteration and pred/succ.
@@ -350,7 +369,7 @@ pub(crate) struct IndexedFreeSpace {
     frontier: u64,
 }
 
-impl Default for IndexedFreeSpace {
+impl Default for FreeSpace {
     fn default() -> Self {
         Self {
             by_start: AddrMap::default(),
@@ -366,38 +385,45 @@ impl Default for IndexedFreeSpace {
     }
 }
 
-impl IndexedFreeSpace {
-    pub(crate) fn new() -> Self {
+impl FreeSpace {
+    /// Creates an index with the whole address space free.
+    pub fn new() -> Self {
         Self::default()
     }
 
-    pub(crate) fn frontier(&self) -> Addr {
+    /// One past the highest address ever handed out.
+    pub fn frontier(&self) -> Addr {
         Addr::new(self.frontier)
     }
 
-    pub(crate) fn gap_count(&self) -> usize {
+    /// Number of interior gaps.
+    pub fn gap_count(&self) -> usize {
         self.n_gaps
     }
 
-    pub(crate) fn gap_words(&self) -> Size {
+    /// Total words in interior gaps.
+    pub fn gap_words(&self) -> Size {
         Size::new(self.total_words)
     }
 
-    pub(crate) fn gaps(&self) -> Gaps<'_> {
+    /// Iterates over interior gaps in address order.
+    pub fn gaps(&self) -> impl Iterator<Item = Extent> + '_ {
         Gaps {
             fs: self,
             next: self.bits.succ(0),
         }
     }
 
-    pub(crate) fn largest_gap(&self) -> Size {
+    /// The largest interior gap (zero when there is none).
+    pub fn largest_gap(&self) -> Size {
         if let Some(&(len, _)) = self.overflow.iter().next_back() {
             return Size::new(len);
         }
         Size::new(self.last_class_nonempty().unwrap_or(0))
     }
 
-    pub(crate) fn gap_ending_at(&self, addr: Addr) -> Option<Extent> {
+    /// The gap ending exactly at `addr`, if any.
+    pub fn gap_ending_at(&self, addr: Addr) -> Option<Extent> {
         let start = self.gap_end_lookup(addr.get())?;
         Some(Extent::from_raw(start, addr.get() - start))
     }
@@ -412,13 +438,15 @@ impl IndexedFreeSpace {
         (start + len == end).then_some(start)
     }
 
-    pub(crate) fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
+    /// The gap starting exactly at `addr`, if any.
+    pub fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
         self.by_start
             .get(addr.get())
             .map(|l| Extent::from_raw(addr.get(), l))
     }
 
-    pub(crate) fn gap_containing(&self, addr: Addr) -> Option<Extent> {
+    /// The gap containing `addr`, if any.
+    pub fn gap_containing(&self, addr: Addr) -> Option<Extent> {
         let (start, len) = self.gap_at_or_before(addr.get())?;
         (addr.get() < start + len).then(|| Extent::from_raw(start, len))
     }
@@ -668,7 +696,16 @@ impl IndexedFreeSpace {
         Addr::new(at)
     }
 
-    pub(crate) fn take(&mut self, size: Size, policy: FitPolicy) -> Addr {
+    /// Claims `size` words according to `policy` (with
+    /// [`FitPolicy::NextFit`] behaving like first-fit; use
+    /// [`take_next_fit`](Self::take_next_fit) to supply a cursor).
+    ///
+    /// Never fails: the frontier always fits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes.
+    pub fn take(&mut self, size: Size, policy: FitPolicy) -> Addr {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let pick = match policy {
@@ -682,7 +719,14 @@ impl IndexedFreeSpace {
         }
     }
 
-    pub(crate) fn take_traced(&mut self, size: Size, policy: FitPolicy) -> (Addr, TakeStats) {
+    /// Like [`take`](Self::take), but also reports how many index probes
+    /// the policy performed and the size of the gap it carved from.
+    /// Chooses exactly the same address as [`take`](Self::take).
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes.
+    pub fn take_traced(&mut self, size: Size, policy: FitPolicy) -> (Addr, TakeStats) {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let (pick, probes) = match policy {
@@ -705,12 +749,14 @@ impl IndexedFreeSpace {
         }
     }
 
-    pub(crate) fn try_take_within(
-        &mut self,
-        size: Size,
-        policy: FitPolicy,
-        limit: u64,
-    ) -> Option<Addr> {
+    /// Like [`take`](Self::take), but fails instead of letting the frontier
+    /// pass `limit` (for arena-bounded managers). Interior gaps are always
+    /// acceptable since they lie below the frontier.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes.
+    pub fn try_take_within(&mut self, size: Size, policy: FitPolicy, limit: u64) -> Option<Addr> {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let pick = match policy {
@@ -756,7 +802,13 @@ impl IndexedFreeSpace {
         None
     }
 
-    pub(crate) fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> Addr {
+    /// Next-fit with an explicit roving cursor; returns the placement and
+    /// updates the cursor to just past it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes.
+    pub fn take_next_fit(&mut self, size: Size, cursor: &mut Addr) -> Addr {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let from = cursor.get();
@@ -773,11 +825,14 @@ impl IndexedFreeSpace {
         addr
     }
 
-    pub(crate) fn take_next_fit_traced(
-        &mut self,
-        size: Size,
-        cursor: &mut Addr,
-    ) -> (Addr, TakeStats) {
+    /// Like [`take_next_fit`](Self::take_next_fit), but also reports how
+    /// many gaps were examined and the size of the gap carved from.
+    /// Chooses exactly the same address and cursor update.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes.
+    pub fn take_next_fit_traced(&mut self, size: Size, cursor: &mut Addr) -> (Addr, TakeStats) {
         assert!(!size.is_zero(), "cannot take zero words");
         let s = size.get();
         let from = cursor.get();
@@ -798,7 +853,14 @@ impl IndexedFreeSpace {
         (addr, TakeStats { probes, gap_len })
     }
 
-    pub(crate) fn take_aligned(&mut self, size: Size, align: u64) -> Addr {
+    /// Claims `size` words at the lowest address that is a multiple of
+    /// `align`. Linear in the number of gaps; prefer the buddy structure
+    /// for hot aligned workloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero sizes or zero alignment.
+    pub fn take_aligned(&mut self, size: Size, align: u64) -> Addr {
         assert!(!size.is_zero(), "cannot take zero words");
         assert!(align > 0, "alignment must be positive");
         let s = size.get();
@@ -834,7 +896,9 @@ impl IndexedFreeSpace {
         }
     }
 
-    pub(crate) fn take_exact(&mut self, start: Addr, size: Size) -> bool {
+    /// Claims the specific extent `[start, start+size)` if it is entirely
+    /// free; returns whether it succeeded.
+    pub fn take_exact(&mut self, start: Addr, size: Size) -> bool {
         if size.is_zero() {
             return true;
         }
@@ -859,7 +923,8 @@ impl IndexedFreeSpace {
         true
     }
 
-    pub(crate) fn is_free(&self, start: Addr, size: Size) -> bool {
+    /// Whether the extent `[start, start+size)` is entirely free.
+    pub fn is_free(&self, start: Addr, size: Size) -> bool {
         if size.is_zero() {
             return true;
         }
@@ -874,7 +939,13 @@ impl IndexedFreeSpace {
         }
     }
 
-    pub(crate) fn release(&mut self, start: Addr, size: Size) {
+    /// Returns `[start, start+size)` to the free pool, coalescing with
+    /// neighbouring gaps and the frontier.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if the range is already free (double release).
+    pub fn release(&mut self, start: Addr, size: Size) {
         if size.is_zero() {
             return;
         }
@@ -948,7 +1019,9 @@ impl IndexedFreeSpace {
         Self::note_coalesce_merges(merges);
     }
 
-    pub(crate) fn clear(&mut self) {
+    /// Forgets everything, making the whole space free again (used by
+    /// managers that rebuild their view after a full compaction).
+    pub fn clear(&mut self) {
         self.by_start.clear();
         self.bits.clear_all();
         for heap in &mut self.classes {
@@ -962,9 +1035,9 @@ impl IndexedFreeSpace {
         self.frontier = 0;
     }
 
-    /// Publishes high-water marks for the index structures; called by
-    /// the dispatching wrapper when the metrics plane is attached.
-    pub(crate) fn publish_metrics(&self) {
+    /// Publishes index high-water marks into the `pcb-metrics` plane; a
+    /// relaxed-load no-op while the plane is detached.
+    pub fn publish_metrics(&self) {
         if !pcb_metrics::enabled() {
             return;
         }
@@ -975,7 +1048,9 @@ impl IndexedFreeSpace {
         SLAB_HIGH.record_max(slab as u64);
     }
 
-    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+    /// Internal-consistency check for tests: the indexes agree, gaps are
+    /// disjoint, coalesced, non-empty, and below the frontier.
+    pub fn check_invariants(&self) -> Result<(), String> {
         let mut prev_end: Option<u64> = None;
         let mut n = 0usize;
         let mut words = 0u64;
@@ -1056,10 +1131,10 @@ impl IndexedFreeSpace {
     }
 }
 
-/// Address-ordered gap iterator over an [`IndexedFreeSpace`].
+/// Address-ordered gap iterator over a [`FreeSpace`].
 #[derive(Debug)]
-pub(crate) struct Gaps<'a> {
-    fs: &'a IndexedFreeSpace,
+struct Gaps<'a> {
+    fs: &'a FreeSpace,
     next: Option<u64>,
 }
 

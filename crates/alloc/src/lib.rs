@@ -36,9 +36,9 @@ mod compacting;
 mod freelist;
 mod full_compact;
 mod indexed;
-mod mirror;
 mod pages;
 mod policy;
+pub mod reference;
 mod registry;
 mod robson;
 mod segregated;
@@ -46,9 +46,9 @@ mod tlsf;
 
 pub use buddy::{BuddyAllocator, BuddySelect};
 pub use compacting::CompactingManager;
-pub use freelist::{FitPolicy, FreeSpace, TakeStats};
+pub use freelist::{FitPolicy, TakeStats};
 pub use full_compact::FullCompactor;
-pub use mirror::{MirrorImpl, ParseMirrorImplError};
+pub use indexed::FreeSpace;
 pub use pages::{PageGeometryError, PageManager, SLOTS_PER_PAGE};
 pub use policy::FreeListManager;
 pub use registry::{BuildError, ManagerKind, ParseManagerKindError};

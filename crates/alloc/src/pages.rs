@@ -23,31 +23,29 @@
 //! move; the density threshold only decides when evacuation is
 //! *worthwhile* space-wise.
 //!
-//! Per-class bookkeeping follows the [`MirrorImpl`] knob: the indexed arm
-//! keeps pages in a slab addressed through an open-addressed `base -> slab
-//! index` map, with the `open`/`sparse` candidate sets as lazily-cleaned
-//! min-heaps (entries are revalidated against the page's current live
-//! count on peek); the reference arm retains the seed `BTreeMap`/`BTreeSet`
-//! structures. The page pool itself is a [`FreeSpace`] and follows the same
-//! knob.
+//! Per-class bookkeeping keeps pages in a slab addressed through an
+//! open-addressed `base -> slab index` map, with the `open`/`sparse`
+//! candidate sets as lazily-cleaned min-heaps (entries are revalidated
+//! against the page's current live count on peek). The seed
+//! `BTreeMap`/`BTreeSet` index survives only in the tests, as the lockstep
+//! oracle. The page pool itself is a [`FreeSpace`].
 
 use core::fmt;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use pcb_heap::{
     Addr, AllocRequest, HeapOps, MemoryManager, MoveOutcome, ObjectId, PlacementError, Size,
 };
 
-use crate::freelist::FreeSpace;
 use crate::indexed::AddrMap;
-use crate::MirrorImpl;
+use crate::FreeSpace;
 
 /// Objects per page: each class-`k` page spans `4 * 2^k` words, mirroring
 /// the factor-4 chunk geometry of the paper's Section 4 analysis.
 pub const SLOTS_PER_PAGE: u64 = 4;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Page {
     /// Slot -> occupant.
     slots: Vec<Option<ObjectId>>,
@@ -69,255 +67,120 @@ impl Page {
     }
 }
 
-/// Page lookup plus the `open`/`sparse` candidate sets, in either
-/// implementation.
-#[derive(Debug, Clone)]
-enum PageIndex {
-    Indexed {
-        /// base -> index into `slab`.
-        map: AddrMap,
-        slab: Vec<Option<Page>>,
-        free_ids: Vec<usize>,
-        /// Lazy min-heaps of candidate bases; entries are validated
-        /// against the page's live count on peek, and rebuilt from `map`
-        /// when stale entries dominate.
-        open: BinaryHeap<Reverse<u64>>,
-        sparse: BinaryHeap<Reverse<u64>>,
-    },
-    Reference {
-        /// base -> page.
-        pages: BTreeMap<u64, Page>,
-        /// Bases of pages with at least one free slot.
-        open: BTreeSet<u64>,
-        /// Bases of evacuation candidates (live ≤ `sparse_live`).
-        sparse: BTreeSet<u64>,
-    },
-}
-
-impl PageIndex {
-    fn new(mirror: MirrorImpl) -> Self {
-        match mirror {
-            MirrorImpl::Indexed => PageIndex::Indexed {
-                map: AddrMap::default(),
-                slab: Vec::new(),
-                free_ids: Vec::new(),
-                open: BinaryHeap::new(),
-                sparse: BinaryHeap::new(),
-            },
-            MirrorImpl::Reference => PageIndex::Reference {
-                pages: BTreeMap::new(),
-                open: BTreeSet::new(),
-                sparse: BTreeSet::new(),
-            },
-        }
-    }
+/// Page lookup plus the `open`/`sparse` candidate sets of one class.
+#[derive(Debug, Clone, Default)]
+struct PageIndex {
+    /// base -> index into `slab`.
+    map: AddrMap,
+    slab: Vec<Option<Page>>,
+    free_ids: Vec<usize>,
+    /// Lazy min-heaps of candidate bases; entries are validated against
+    /// the page's live count on peek, and rebuilt from `map` when stale
+    /// entries dominate.
+    open: BinaryHeap<Reverse<u64>>,
+    sparse: BinaryHeap<Reverse<u64>>,
 }
 
 /// One size class: its pages and candidate indexes plus the free-slot
 /// tally.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ClassState {
     index: PageIndex,
     /// Total free slots across all pages of the class.
     free_slots: usize,
 }
 
-impl ClassState {
-    fn new(mirror: MirrorImpl) -> Self {
-        ClassState {
-            index: PageIndex::new(mirror),
-            free_slots: 0,
-        }
-    }
-
+impl PageIndex {
     fn page(&self, base: u64) -> Option<&Page> {
-        match &self.index {
-            PageIndex::Indexed { map, slab, .. } => {
-                map.get(base).and_then(|idx| slab[idx as usize].as_ref())
-            }
-            PageIndex::Reference { pages, .. } => pages.get(&base),
-        }
+        self.map
+            .get(base)
+            .and_then(|idx| self.slab[idx as usize].as_ref())
     }
 
     fn page_mut(&mut self, base: u64) -> Option<&mut Page> {
-        match &mut self.index {
-            PageIndex::Indexed { map, slab, .. } => {
-                map.get(base).and_then(|idx| slab[idx as usize].as_mut())
-            }
-            PageIndex::Reference { pages, .. } => pages.get_mut(&base),
-        }
+        self.map
+            .get(base)
+            .and_then(|idx| self.slab[idx as usize].as_mut())
     }
 
     /// Installs a fresh (empty) page at `base`.
     fn insert_page(&mut self, base: u64, page: Page, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                open,
-                sparse,
-            } => {
-                let idx = match free_ids.pop() {
-                    Some(idx) => {
-                        slab[idx] = Some(page);
-                        idx
-                    }
-                    None => {
-                        slab.push(Some(page));
-                        slab.len() - 1
-                    }
-                };
-                map.insert(base, idx as u64);
-                // An empty page is both open and sparse.
-                open.push(Reverse(base));
-                sparse.push(Reverse(base));
-                Self::maybe_rebuild(map, slab, open, |p| p.live() < slots);
-                Self::maybe_rebuild(map, slab, sparse, |p| p.live() <= sparse_live);
+        let idx = match self.free_ids.pop() {
+            Some(idx) => {
+                self.slab[idx] = Some(page);
+                idx
             }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                pages.insert(base, page);
-                open.insert(base);
-                sparse.insert(base);
+            None => {
+                self.slab.push(Some(page));
+                self.slab.len() - 1
             }
-        }
+        };
+        self.map.insert(base, idx as u64);
+        // An empty page is both open and sparse.
+        self.open.push(Reverse(base));
+        self.sparse.push(Reverse(base));
+        Self::maybe_rebuild(&self.map, &self.slab, &mut self.open, |p| p.live() < slots);
+        Self::maybe_rebuild(&self.map, &self.slab, &mut self.sparse, |p| {
+            p.live() <= sparse_live
+        });
     }
 
-    /// Removes the page at `base`, dropping its candidate memberships
-    /// (eagerly on the reference arm, lazily on the indexed one).
+    /// Removes the page at `base`; its candidate entries go stale and are
+    /// dropped lazily.
     fn remove_page(&mut self, base: u64) -> Option<Page> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                ..
-            } => {
-                let idx = map.remove(base)? as usize;
-                free_ids.push(idx);
-                slab[idx].take()
-            }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                open.remove(&base);
-                sparse.remove(&base);
-                pages.remove(&base)
-            }
-        }
-    }
-
-    /// Updates candidate memberships after a slot of `base` was filled
-    /// (live count went up: memberships can only end).
-    fn note_fill(&mut self, base: u64, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            // Stale entries are discarded lazily on peek.
-            PageIndex::Indexed { .. } => {}
-            PageIndex::Reference { .. } => self.reindex_reference(base, slots, sparse_live),
-        }
+        let idx = self.map.remove(base)? as usize;
+        self.free_ids.push(idx);
+        self.slab[idx].take()
     }
 
     /// Updates candidate memberships after a slot of `base` was cleared
     /// (live count went down by one: memberships can only begin, and only
-    /// at the exact threshold crossing).
+    /// at the exact threshold crossing). A filled slot needs no update:
+    /// memberships it ends are discarded lazily on peek.
     fn note_clear(&mut self, base: u64, live_now: usize, slots: usize, sparse_live: usize) {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                open,
-                sparse,
-                ..
-            } => {
-                if live_now + 1 == slots {
-                    open.push(Reverse(base));
-                    Self::maybe_rebuild(map, slab, open, |p| p.live() < slots);
-                }
-                if live_now == sparse_live {
-                    sparse.push(Reverse(base));
-                    Self::maybe_rebuild(map, slab, sparse, |p| p.live() <= sparse_live);
-                }
-            }
-            PageIndex::Reference { .. } => self.reindex_reference(base, slots, sparse_live),
+        if live_now + 1 == slots {
+            self.open.push(Reverse(base));
+            Self::maybe_rebuild(&self.map, &self.slab, &mut self.open, |p| p.live() < slots);
         }
-    }
-
-    /// The seed membership recomputation (reference arm only).
-    fn reindex_reference(&mut self, base: u64, slots: usize, sparse_live: usize) {
-        let PageIndex::Reference {
-            pages,
-            open,
-            sparse,
-        } = &mut self.index
-        else {
-            unreachable!("reference reindex on indexed arm");
-        };
-        let Some(page) = pages.get(&base) else {
-            open.remove(&base);
-            sparse.remove(&base);
-            return;
-        };
-        let live = page.live();
-        if live < slots {
-            open.insert(base);
-        } else {
-            open.remove(&base);
-        }
-        if live <= sparse_live {
-            sparse.insert(base);
-        } else {
-            sparse.remove(&base);
+        if live_now == sparse_live {
+            self.sparse.push(Reverse(base));
+            Self::maybe_rebuild(&self.map, &self.slab, &mut self.sparse, |p| {
+                p.live() <= sparse_live
+            });
         }
     }
 
     /// Lowest base with at least one free slot, if any.
     fn first_open(&mut self, slots: usize) -> Option<u64> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map, slab, open, ..
-            } => {
-                while let Some(&Reverse(base)) = open.peek() {
-                    let live = map
-                        .get(base)
-                        .and_then(|idx| slab[idx as usize].as_ref())
-                        .map(Page::live);
-                    if live.is_some_and(|l| l < slots) {
-                        return Some(base);
-                    }
-                    open.pop();
-                }
-                None
-            }
-            PageIndex::Reference { open, .. } => open.first().copied(),
-        }
+        Self::first_live(&self.map, &self.slab, &mut self.open, |live| live < slots)
     }
 
     /// Lowest evacuation-candidate base, if any.
     fn first_sparse(&mut self, sparse_live: usize) -> Option<u64> {
-        match &mut self.index {
-            PageIndex::Indexed {
-                map, slab, sparse, ..
-            } => {
-                while let Some(&Reverse(base)) = sparse.peek() {
-                    let live = map
-                        .get(base)
-                        .and_then(|idx| slab[idx as usize].as_ref())
-                        .map(Page::live);
-                    if live.is_some_and(|l| l <= sparse_live) {
-                        return Some(base);
-                    }
-                    sparse.pop();
-                }
-                None
+        Self::first_live(&self.map, &self.slab, &mut self.sparse, |live| {
+            live <= sparse_live
+        })
+    }
+
+    /// Lowest base in `heap` whose page still qualifies, popping stale
+    /// entries on the way.
+    fn first_live(
+        map: &AddrMap,
+        slab: &[Option<Page>],
+        heap: &mut BinaryHeap<Reverse<u64>>,
+        member: impl Fn(usize) -> bool,
+    ) -> Option<u64> {
+        while let Some(&Reverse(base)) = heap.peek() {
+            let live = map
+                .get(base)
+                .and_then(|idx| slab[idx as usize].as_ref())
+                .map(Page::live);
+            if live.is_some_and(&member) {
+                return Some(base);
             }
-            PageIndex::Reference { sparse, .. } => sparse.first().copied(),
+            heap.pop();
         }
+        None
     }
 
     /// Rebuilds a candidate heap from ground truth once stale/duplicate
@@ -341,68 +204,35 @@ impl ClassState {
 
     #[cfg(test)]
     fn snapshot(&self) -> Vec<(u64, Page)> {
-        let mut out: Vec<(u64, Page)> = match &self.index {
-            PageIndex::Indexed { map, slab, .. } => map
-                .iter()
-                .map(|(base, idx)| (base, slab[idx as usize].clone().expect("mapped page")))
-                .collect(),
-            PageIndex::Reference { pages, .. } => {
-                pages.iter().map(|(&b, p)| (b, p.clone())).collect()
-            }
-        };
+        let mut out: Vec<(u64, Page)> = self
+            .map
+            .iter()
+            .map(|(base, idx)| (base, self.slab[idx as usize].clone().expect("mapped page")))
+            .collect();
         out.sort_by_key(|&(b, _)| b);
         out
     }
 
     #[cfg(test)]
     fn open_contains(&self, base: u64, slots: usize) -> bool {
-        match &self.index {
-            PageIndex::Indexed { open, .. } => {
-                self.page(base).is_some_and(|p| p.live() < slots)
-                    && open.iter().any(|&Reverse(b)| b == base)
-            }
-            PageIndex::Reference { open, .. } => open.contains(&base),
-        }
+        self.page(base).is_some_and(|p| p.live() < slots)
+            && self.open.iter().any(|&Reverse(b)| b == base)
     }
 
     #[cfg(test)]
     fn sparse_contains(&self, base: u64, sparse_live: usize) -> bool {
-        match &self.index {
-            PageIndex::Indexed { sparse, .. } => {
-                self.page(base).is_some_and(|p| p.live() <= sparse_live)
-                    && sparse.iter().any(|&Reverse(b)| b == base)
-            }
-            PageIndex::Reference { sparse, .. } => sparse.contains(&base),
-        }
+        self.page(base).is_some_and(|p| p.live() <= sparse_live)
+            && self.sparse.iter().any(|&Reverse(b)| b == base)
     }
 
-    /// No candidate entry points at a missing page (reference arm), and
-    /// the slab/map stay coherent (indexed arm).
+    /// The slab and the map stay coherent.
     #[cfg(test)]
     fn check_structure(&self) {
-        match &self.index {
-            PageIndex::Indexed {
-                map,
-                slab,
-                free_ids,
-                ..
-            } => {
-                let live_slots = slab.iter().filter(|s| s.is_some()).count();
-                assert_eq!(map.len(), live_slots, "map and slab agree");
-                assert_eq!(slab.len(), live_slots + free_ids.len());
-                for (_, idx) in map.iter() {
-                    assert!(slab[idx as usize].is_some(), "mapped slot is live");
-                }
-            }
-            PageIndex::Reference {
-                pages,
-                open,
-                sparse,
-            } => {
-                for base in open.iter().chain(sparse) {
-                    assert!(pages.contains_key(base));
-                }
-            }
+        let live_slots = self.slab.iter().filter(|s| s.is_some()).count();
+        assert_eq!(self.map.len(), live_slots, "map and slab agree");
+        assert_eq!(self.slab.len(), live_slots + self.free_ids.len());
+        for (_, idx) in self.map.iter() {
+            assert!(self.slab[idx as usize].is_some(), "mapped slot is live");
         }
     }
 }
@@ -471,7 +301,7 @@ pub struct PageManager {
 
 impl PageManager {
     /// Creates a manager for compaction bound `c` serving classes
-    /// `2^0 ..= 2^max_order` on the default mirror impl.
+    /// `2^0 ..= 2^max_order`.
     ///
     /// `c` does not parameterize the manager's structure — the c-partial
     /// constraint is enforced move-by-move through the heap's budget
@@ -486,18 +316,6 @@ impl PageManager {
         Self::with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
     }
 
-    /// [`new`](Self::new) with an explicit mirror impl.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c < 2` or `max_order >= 46`.
-    pub fn with_mirror(c: u64, max_order: u32, mirror: MirrorImpl) -> Self {
-        match Self::try_with_mirror(c, max_order, mirror) {
-            Ok(manager) => manager,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Like [`new`](Self::new), but reports invalid parameters as a
     /// [`PageGeometryError`] instead of panicking — the harness-facing
     /// constructor, where a user's parameter mistake must become a clean
@@ -508,19 +326,6 @@ impl PageManager {
     /// Returns [`PageGeometryError`] if `c < 2` or `max_order >= 46`.
     pub fn try_new(c: u64, max_order: u32) -> Result<Self, PageGeometryError> {
         Self::try_with_geometry(c, max_order, SLOTS_PER_PAGE as usize)
-    }
-
-    /// [`try_new`](Self::try_new) with an explicit mirror impl.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PageGeometryError`] if `c < 2` or `max_order >= 46`.
-    pub fn try_with_mirror(
-        c: u64,
-        max_order: u32,
-        mirror: MirrorImpl,
-    ) -> Result<Self, PageGeometryError> {
-        Self::build(c, max_order, SLOTS_PER_PAGE as usize, mirror)
     }
 
     /// Creates a manager with `slots` objects per page instead of the
@@ -550,15 +355,6 @@ impl PageManager {
         max_order: u32,
         slots: usize,
     ) -> Result<Self, PageGeometryError> {
-        Self::build(c, max_order, slots, MirrorImpl::default())
-    }
-
-    fn build(
-        c: u64,
-        max_order: u32,
-        slots: usize,
-        mirror: MirrorImpl,
-    ) -> Result<Self, PageGeometryError> {
         if c < 2 {
             return Err(PageGeometryError::BoundTooSmall { c });
         }
@@ -569,8 +365,8 @@ impl PageManager {
             return Err(PageGeometryError::BadSlots { slots });
         }
         Ok(PageManager {
-            classes: (0..=max_order).map(|_| ClassState::new(mirror)).collect(),
-            pool: FreeSpace::with_impl(mirror),
+            classes: (0..=max_order).map(|_| ClassState::default()).collect(),
+            pool: FreeSpace::new(),
             max_order,
             slots,
             sparse_live: slots / 4,
@@ -604,14 +400,12 @@ impl PageManager {
     /// Places into an open page of class `k`, if any.
     fn place_in_open(&mut self, k: u32, id: ObjectId) -> Option<Addr> {
         let slots = self.slots;
-        let sparse_live = self.sparse_live;
         let class = &mut self.classes[k as usize];
-        let base = class.first_open(slots)?;
-        let page = class.page_mut(base).expect("open page exists");
+        let base = class.index.first_open(slots)?;
+        let page = class.index.page_mut(base).expect("open page exists");
         let slot = page.first_free_slot().expect("page in open set has a slot");
         page.slots[slot] = Some(id);
         class.free_slots -= 1;
-        class.note_fill(base, slots, sparse_live);
         Some(Self::slot_addr(base, k, slot))
     }
 
@@ -629,10 +423,10 @@ impl PageManager {
         let mut pick: Option<(u32, u64)> = None;
         for k in (0..self.classes.len()).rev() {
             let class = &mut self.classes[k];
-            let Some(base) = class.first_sparse(sparse_live) else {
+            let Some(base) = class.index.first_sparse(sparse_live) else {
                 continue;
             };
-            let live = class.page(base).expect("sparse page exists").live();
+            let live = class.index.page(base).expect("sparse page exists").live();
             let spare_elsewhere = class.free_slots - (slots - live);
             if spare_elsewhere < live {
                 continue;
@@ -666,7 +460,7 @@ impl PageManager {
         ops: &mut HeapOps<'_, '_>,
     ) -> Result<(), PlacementError> {
         let class = &mut self.classes[k as usize];
-        let page = class.remove_page(base).expect("victim page exists");
+        let page = class.index.remove_page(base).expect("victim page exists");
         class.free_slots -= self.slots - page.live();
         for occupant in page.slots.iter() {
             let Some(id) = *occupant else { continue };
@@ -710,7 +504,9 @@ impl PageManager {
         let slots = self.slots;
         let sparse_live = self.sparse_live;
         let class = &mut self.classes[k as usize];
-        class.insert_page(base, Page::new(slots), slots, sparse_live);
+        class
+            .index
+            .insert_page(base, Page::new(slots), slots, sparse_live);
         class.free_slots += slots;
     }
 
@@ -721,7 +517,7 @@ impl PageManager {
         let sparse_live = self.sparse_live;
         let base = addr.align_down(words).get();
         let class = &mut self.classes[k as usize];
-        let Some(page) = class.page_mut(base) else {
+        let Some(page) = class.index.page_mut(base) else {
             // The slot's page was already evacuated/released.
             return;
         };
@@ -730,11 +526,11 @@ impl PageManager {
         let live = page.live();
         class.free_slots += 1;
         if live == 0 {
-            class.remove_page(base);
+            class.index.remove_page(base);
             class.free_slots -= slots;
             self.pool.release(Addr::new(base), Size::new(words));
         } else {
-            class.note_clear(base, live, slots, sparse_live);
+            class.index.note_clear(base, live, slots, sparse_live);
         }
     }
 
@@ -743,18 +539,18 @@ impl PageManager {
     #[cfg(test)]
     fn check_consistency(&self) {
         for (k, class) in self.classes.iter().enumerate() {
-            class.check_structure();
-            let snapshot = class.snapshot();
+            class.index.check_structure();
+            let snapshot = class.index.snapshot();
             let free: usize = snapshot.iter().map(|(_, p)| self.slots - p.live()).sum();
             assert_eq!(class.free_slots, free, "class {k}");
             for (base, page) in &snapshot {
                 assert_eq!(
-                    class.open_contains(*base, self.slots),
+                    class.index.open_contains(*base, self.slots),
                     page.live() < self.slots,
                     "class {k} base {base} open"
                 );
                 assert_eq!(
-                    class.sparse_contains(*base, self.sparse_live),
+                    class.index.sparse_contains(*base, self.sparse_live),
                     page.live() <= self.sparse_live,
                     "class {k} base {base} sparse"
                 );
@@ -807,7 +603,7 @@ impl MemoryManager for PageManager {
         let before = self.evictions;
         loop {
             let slots = self.slots;
-            if self.classes[k as usize].first_open(slots).is_some() || self.pool_has_room(k) {
+            if self.classes[k as usize].index.first_open(slots).is_some() || self.pool_has_room(k) {
                 break;
             }
             if !self.evict_one(ops)? {
@@ -839,20 +635,14 @@ mod tests {
 
     #[test]
     fn pages_fill_before_growing() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8, 8]);
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            // First four share one 32-word page; the fifth starts a second
-            // page at 32 (HS counts used words, so the span ends at 32+8).
-            assert_eq!(report.heap_size, 40);
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024)).round([], [8, 8, 8, 8, 8]);
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        // First four share one 32-word page; the fifth starts a second
+        // page at 32 (HS counts used words, so the span ends at 32+8).
+        assert_eq!(report.heap_size, 40);
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -868,23 +658,17 @@ mod tests {
 
     #[test]
     fn empty_pages_return_to_the_pool_for_other_classes() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8]) // one 32-word page, full
-                .round([0, 1, 2, 3], [2, 2]); // page empties; class 1 reuses it
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(
-                report.heap_size, 32,
-                "the emptied class-3 page houses the class-1 page"
-            );
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8]) // one 32-word page, full
+            .round([0, 1, 2, 3], [2, 2]); // page empties; class 1 reuses it
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        assert_eq!(
+            report.heap_size, 32,
+            "the emptied class-3 page houses the class-1 page"
+        );
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -893,22 +677,16 @@ mod tests {
         // pool), then two full class-0 pages; free six of the eight ones
         // to leave two sparse pages, then demand class-2 pages. With the
         // pool empty, eviction must fire.
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [16, 16, 1, 1, 1, 1, 1, 1, 1, 1])
-                .round([3, 4, 5, 6, 7, 8], [4, 4, 4, 4, 4]);
-            let mut exec = Execution::new(
-                Heap::new(10),
-                program,
-                PageManager::with_mirror(10, 10, mirror),
-            );
-            let report = exec.run().unwrap();
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-            assert!(manager.evictions() >= 1, "eviction should have triggered");
-            assert!(report.objects_moved >= 1);
-            assert!(report.moved_fraction <= 0.1 + 1e-12);
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [16, 16, 1, 1, 1, 1, 1, 1, 1, 1])
+            .round([3, 4, 5, 6, 7, 8], [4, 4, 4, 4, 4]);
+        let mut exec = Execution::new(Heap::new(10), program, PageManager::new(10, 10));
+        let report = exec.run().unwrap();
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
+        assert!(manager.evictions() >= 1, "eviction should have triggered");
+        assert!(report.objects_moved >= 1);
+        assert!(report.moved_fraction <= 0.1 + 1e-12);
     }
 
     #[test]
@@ -987,9 +765,8 @@ mod tests {
     }
 
     #[test]
-    fn page_arms_stay_in_lockstep() {
-        // Heavy churn across classes, with eviction pressure: both arms
-        // must produce identical reports and eviction counts.
+    fn heavy_churn_keeps_the_index_consistent() {
+        // Heavy churn across classes, with eviction pressure.
         let mut program = ScriptedProgram::new(Size::new(1 << 16));
         let mut base = 0usize;
         for r in 0..20u64 {
@@ -1002,24 +779,180 @@ mod tests {
             program = program.round(frees, sizes);
             base += 8;
         }
-        let mut runs = MirrorImpl::ALL.iter().map(|&mirror| {
-            let mut exec = Execution::new(
-                Heap::new(5),
-                program.clone(),
-                PageManager::with_mirror(5, 8, mirror),
-            );
-            let report = exec.run().expect("pages survive churn");
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-            (
-                format!("{report:?}"),
-                manager.evictions(),
-                manager.internal_waste(),
-            )
-        });
-        let first = runs.next().unwrap();
-        for other in runs {
-            assert_eq!(first, other);
+        let mut exec = Execution::new(Heap::new(5), program, PageManager::new(5, 8));
+        exec.run().expect("pages survive churn");
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
+        assert!(manager.evictions() >= 1, "the churn evicts");
+    }
+}
+
+/// The seed page index, kept as the oracle [`PageIndex`] is checked
+/// against in lockstep.
+#[cfg(test)]
+mod lockstep {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::{Page, PageIndex};
+
+    /// Eagerly maintained `BTreeMap` pages and `BTreeSet` candidate sets.
+    #[derive(Debug, Default)]
+    struct ReferencePageIndex {
+        /// base -> page.
+        pages: BTreeMap<u64, Page>,
+        /// Bases of pages with at least one free slot.
+        open: BTreeSet<u64>,
+        /// Bases of evacuation candidates (live ≤ `sparse_live`).
+        sparse: BTreeSet<u64>,
+    }
+
+    impl ReferencePageIndex {
+        fn insert_page(&mut self, base: u64, page: Page) {
+            self.pages.insert(base, page);
+            self.open.insert(base);
+            self.sparse.insert(base);
+        }
+
+        fn remove_page(&mut self, base: u64) -> Option<Page> {
+            self.open.remove(&base);
+            self.sparse.remove(&base);
+            self.pages.remove(&base)
+        }
+
+        /// The seed membership recomputation, run after every slot change.
+        fn reindex(&mut self, base: u64, slots: usize, sparse_live: usize) {
+            let Some(page) = self.pages.get(&base) else {
+                self.open.remove(&base);
+                self.sparse.remove(&base);
+                return;
+            };
+            let live = page.live();
+            if live < slots {
+                self.open.insert(base);
+            } else {
+                self.open.remove(&base);
+            }
+            if live <= sparse_live {
+                self.sparse.insert(base);
+            } else {
+                self.sparse.remove(&base);
+            }
+        }
+    }
+
+    const SLOTS: usize = 4;
+    const SPARSE_LIVE: usize = SLOTS / 4;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Install an empty page at a fresh or recycled base.
+        Insert { base: u64 },
+        /// Remove the `pick`-th installed page.
+        Remove { pick: usize },
+        /// Fill the first free slot of the lowest open page.
+        FillOpen,
+        /// Fill the first free slot of the `pick`-th page, if any.
+        Fill { pick: usize },
+        /// Clear slot `slot` of the `pick`-th page, removing the page when
+        /// it empties (the manager's protocol).
+        Clear { pick: usize, slot: usize },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..48).prop_map(|b| Op::Insert { base: b * 16 }),
+            (0usize..64).prop_map(|pick| Op::Remove { pick }),
+            Just(Op::FillOpen),
+            Just(Op::FillOpen),
+            (0usize..64).prop_map(|pick| Op::Fill { pick }),
+            (0usize..64, 0usize..SLOTS).prop_map(|(pick, slot)| Op::Clear { pick, slot }),
+            (0usize..64, 0usize..SLOTS).prop_map(|(pick, slot)| Op::Clear { pick, slot }),
+        ]
+    }
+
+    fn fill(ind: &mut PageIndex, refr: &mut ReferencePageIndex, base: u64, id: u64) {
+        let id = pcb_heap::ObjectId::from_raw(id);
+        let page = ind.page_mut(base).expect("installed page");
+        if let Some(slot) = page.first_free_slot() {
+            page.slots[slot] = Some(id);
+            refr.pages.get_mut(&base).expect("installed page").slots[slot] = Some(id);
+            refr.reindex(base, SLOTS, SPARSE_LIVE);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every candidate lookup and the full page table agree after every
+        // operation.
+        #[test]
+        fn page_index_matches_the_seed_index(
+            ops in proptest::collection::vec(op_strategy(), 1..200),
+        ) {
+            let mut ind = PageIndex::default();
+            let mut refr = ReferencePageIndex::default();
+            let mut next_id = 0u64;
+            for op in ops {
+                let bases: Vec<u64> = refr.pages.keys().copied().collect();
+                let pick = |p: usize| (!bases.is_empty()).then(|| bases[p % bases.len()]);
+                match op {
+                    Op::Insert { base } => {
+                        if !refr.pages.contains_key(&base) {
+                            ind.insert_page(base, Page::new(SLOTS), SLOTS, SPARSE_LIVE);
+                            refr.insert_page(base, Page::new(SLOTS));
+                        }
+                    }
+                    Op::Remove { pick: p } => {
+                        if let Some(base) = pick(p) {
+                            prop_assert_eq!(ind.remove_page(base), refr.remove_page(base));
+                        }
+                    }
+                    Op::FillOpen => {
+                        let got = ind.first_open(SLOTS);
+                        prop_assert_eq!(got, refr.open.first().copied());
+                        if let Some(base) = got {
+                            fill(&mut ind, &mut refr, base, next_id);
+                            next_id += 1;
+                        }
+                    }
+                    Op::Fill { pick: p } => {
+                        if let Some(base) = pick(p) {
+                            fill(&mut ind, &mut refr, base, next_id);
+                            next_id += 1;
+                        }
+                    }
+                    Op::Clear { pick: p, slot } => {
+                        let Some(base) = pick(p) else { continue };
+                        let page = ind.page_mut(base).expect("installed page");
+                        if page.slots[slot].take().is_none() {
+                            continue;
+                        }
+                        let live = page.live();
+                        refr.pages.get_mut(&base).expect("installed page").slots[slot] = None;
+                        if live == 0 {
+                            prop_assert_eq!(ind.remove_page(base), refr.remove_page(base));
+                        } else {
+                            ind.note_clear(base, live, SLOTS, SPARSE_LIVE);
+                            refr.reindex(base, SLOTS, SPARSE_LIVE);
+                        }
+                    }
+                }
+                prop_assert_eq!(ind.first_open(SLOTS), refr.open.first().copied());
+                prop_assert_eq!(ind.first_sparse(SPARSE_LIVE), refr.sparse.first().copied());
+                let want: Vec<(u64, Page)> =
+                    refr.pages.iter().map(|(&b, p)| (b, p.clone())).collect();
+                prop_assert_eq!(ind.snapshot(), want);
+                for &base in refr.pages.keys() {
+                    prop_assert_eq!(ind.open_contains(base, SLOTS), refr.open.contains(&base));
+                    prop_assert_eq!(
+                        ind.sparse_contains(base, SPARSE_LIVE),
+                        refr.sparse.contains(&base)
+                    );
+                }
+                ind.check_structure();
+            }
         }
     }
 }

@@ -8,60 +8,35 @@
 //! contrast to the buddy and free-list managers in the empirical harness.
 //!
 //! The per-class free sets only ever need "insert" and "pop the minimum",
-//! so the indexed arm of the [`MirrorImpl`] knob stores each class as a
-//! binary min-heap (no lazy deletion needed: slots leave the set only via
-//! pop); the reference arm retains the seed `BTreeSet<u64>` per class.
+//! so each class is a binary min-heap (no lazy deletion needed: slots
+//! leave the set only via pop). The seed `BTreeSet<u64>` per class
+//! survives only in the tests, as the lockstep oracle.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
 
-use crate::MirrorImpl;
-
-/// Per-class free-slot sets, in either implementation.
+/// Per-class free-slot min-heaps.
 #[derive(Debug, Clone)]
-enum SlotIndex {
-    Indexed(Vec<BinaryHeap<Reverse<u64>>>),
-    Reference(Vec<BTreeSet<u64>>),
-}
+struct SlotIndex(Vec<BinaryHeap<Reverse<u64>>>);
 
 impl SlotIndex {
-    fn new(mirror: MirrorImpl, classes: usize) -> Self {
-        match mirror {
-            MirrorImpl::Indexed => {
-                SlotIndex::Indexed((0..classes).map(|_| BinaryHeap::new()).collect())
-            }
-            MirrorImpl::Reference => SlotIndex::Reference(vec![BTreeSet::new(); classes]),
-        }
+    fn new(classes: usize) -> Self {
+        SlotIndex((0..classes).map(|_| BinaryHeap::new()).collect())
     }
 
     fn insert(&mut self, class: u32, addr: u64) {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].push(Reverse(addr)),
-            SlotIndex::Reference(sets) => {
-                sets[class as usize].insert(addr);
-            }
-        }
+        self.0[class as usize].push(Reverse(addr));
     }
 
     /// Removes and returns the lowest free slot of `class`, if any.
     fn pop_min(&mut self, class: u32) -> Option<u64> {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].pop().map(|Reverse(a)| a),
-            SlotIndex::Reference(sets) => {
-                let slot = sets[class as usize].first().copied()?;
-                sets[class as usize].remove(&slot);
-                Some(slot)
-            }
-        }
+        self.0[class as usize].pop().map(|Reverse(a)| a)
     }
 
     fn count(&self, class: u32) -> usize {
-        match self {
-            SlotIndex::Indexed(heaps) => heaps[class as usize].len(),
-            SlotIndex::Reference(sets) => sets[class as usize].len(),
-        }
+        self.0[class as usize].len()
     }
 }
 
@@ -81,20 +56,14 @@ pub struct SegregatedManager {
 }
 
 impl SegregatedManager {
-    /// Creates a manager with size classes `2^0 .. 2^max_order` on the
-    /// default mirror impl.
+    /// Creates a manager with size classes `2^0 .. 2^max_order`.
     pub fn new(max_order: u32) -> Self {
-        Self::with_mirror(max_order, MirrorImpl::default())
-    }
-
-    /// [`new`](Self::new) with an explicit mirror impl.
-    pub fn with_mirror(max_order: u32, mirror: MirrorImpl) -> Self {
         assert!(
             max_order < 48,
             "max_order {max_order} is unreasonably large"
         );
         SegregatedManager {
-            free: SlotIndex::new(mirror, max_order as usize + 1),
+            free: SlotIndex::new(max_order as usize + 1),
             max_order,
             frontier: 0,
         }
@@ -148,36 +117,24 @@ mod tests {
 
     #[test]
     fn slots_are_reused_within_a_class() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8])
-                .round([1], [8]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(report.heap_size, 24, "the freed middle slot is reused");
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8])
+            .round([1], [8]);
+        let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
+        let report = exec.run().unwrap();
+        assert_eq!(report.heap_size, 24, "the freed middle slot is reused");
     }
 
     #[test]
     fn classes_do_not_share_space() {
         // Free all the 8-word slots, then allocate 16-word objects: the
         // freed space cannot be reused (that is the policy's weakness).
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8])
-                .round([0, 1, 2, 3], [16, 16]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().unwrap();
-            assert_eq!(report.heap_size, 32 + 32);
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8])
+            .round([0, 1, 2, 3], [16, 16]);
+        let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
+        let report = exec.run().unwrap();
+        assert_eq!(report.heap_size, 32 + 32);
     }
 
     #[test]
@@ -198,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_arms_stay_in_lockstep() {
+    fn churn_reuses_slots_within_each_class() {
         let mut program = ScriptedProgram::new(Size::new(1 << 20));
         let mut base = 0usize;
         for r in 0..12u64 {
@@ -211,19 +168,52 @@ mod tests {
             program = program.round(frees, sizes);
             base += 10;
         }
-        let mut runs = MirrorImpl::ALL.iter().map(|&mirror| {
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program.clone(),
-                SegregatedManager::with_mirror(10, mirror),
-            );
-            let report = exec.run().expect("segregated survives churn");
-            let (_, _, manager) = exec.into_parts();
-            (format!("{report:?}"), manager.free_slots())
-        });
-        let first = runs.next().unwrap();
-        for other in runs {
-            assert_eq!(first, other);
+        let mut exec = Execution::new(Heap::non_moving(), program, SegregatedManager::new(10));
+        exec.run().expect("segregated survives churn");
+    }
+}
+
+/// The seed per-class `BTreeSet`, kept as the oracle [`SlotIndex`] is
+/// checked against in lockstep.
+#[cfg(test)]
+mod lockstep {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
+    use super::SlotIndex;
+
+    const CLASSES: usize = 6;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every pop answers the same slot and every class keeps the same
+        // count. Slots are unique across the index, as in the manager.
+        #[test]
+        fn slot_index_matches_the_seed_sets(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..CLASSES as u32, 0u64..4096), 1..200),
+        ) {
+            let mut ind = SlotIndex::new(CLASSES);
+            let mut refr: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); CLASSES];
+            let mut used = BTreeSet::new();
+            for (insert, class, addr) in ops {
+                if insert {
+                    if used.insert(addr) {
+                        ind.insert(class, addr);
+                        refr[class as usize].insert(addr);
+                    }
+                } else {
+                    let want = refr[class as usize].pop_first();
+                    prop_assert_eq!(ind.pop_min(class), want);
+                    if let Some(slot) = want {
+                        used.remove(&slot);
+                    }
+                }
+                for (k, set) in refr.iter().enumerate() {
+                    prop_assert_eq!(ind.count(k as u32), set.len());
+                }
+            }
         }
     }
 }

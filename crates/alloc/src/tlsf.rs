@@ -13,20 +13,18 @@
 //! This implementation follows the classic structure (first-level index
 //! `fl = ⌊log₂ size⌋`, second-level split into `2^SL_BITS` ranges,
 //! bitmap-guided lookup, immediate coalescing on free) over the
-//! simulated address space. The bucket index itself follows the
-//! [`MirrorImpl`] knob: the indexed arm keeps lazily-cleaned min-heaps
-//! per bucket behind a real two-level nonempty bitmap (two
-//! find-first-set probes per lookup), while the reference arm retains
-//! the seed `BTreeSet` buckets with a linear `Vec<bool>` scan. Both
-//! choose identical blocks and report identical probe counts.
+//! simulated address space. The bucket index keeps lazily-cleaned
+//! min-heaps per bucket behind a real two-level nonempty bitmap (two
+//! find-first-set probes per lookup). The seed `BTreeSet` buckets with a
+//! linear `Vec<bool>` scan survive only in the tests, as the lockstep
+//! oracle: both choose identical blocks and report identical probe counts.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
 
-use crate::freelist::FreeSpace;
-use crate::MirrorImpl;
+use crate::FreeSpace;
 
 /// Second-level subdivision: each power-of-two range splits into
 /// `2^SL_BITS` buckets.
@@ -38,7 +36,7 @@ const FL_SHIFT: u32 = SL_BITS;
 const FL_MAX: u32 = 40;
 /// Total buckets.
 const BUCKETS: usize = (FL_MAX * SL_COUNT) as usize;
-/// Words in the indexed arm's nonempty bitmap.
+/// Words in the nonempty bitmap.
 const BITMAP_WORDS: usize = BUCKETS.div_ceil(64);
 
 /// A non-moving TLSF (good-fit, two-level segregated) manager.
@@ -56,24 +54,136 @@ pub struct TlsfManager {
     mirror: FreeSpace,
 }
 
-/// The two-level bucket index, in either implementation.
+/// The two-level bucket index: lazily-cleaned min-heaps of `(start, len)`
+/// per bucket, exact live counts, and a two-level nonempty bitmap
+/// (`summary` has one bit per `words` entry) so a lookup is two
+/// find-first-set probes. A heap entry is live iff the free-space mirror
+/// still holds a gap of exactly that start and length.
 #[derive(Debug, Clone)]
-enum BucketIndex {
-    /// Lazily-cleaned min-heaps of `(start, len)` per bucket, exact live
-    /// counts, and a two-level nonempty bitmap (`summary` has one bit
-    /// per `words` entry) so a lookup is two find-first-set probes.
-    Indexed {
-        heaps: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
-        counts: Vec<u32>,
-        words: [u64; BITMAP_WORDS],
-        summary: u64,
-    },
-    /// The seed address-ordered `BTreeSet` buckets with a linear
-    /// nonempty scan, retained as the lockstep oracle.
-    Reference {
-        buckets: Vec<BTreeSet<(u64, u64)>>,
-        nonempty: Vec<bool>,
-    },
+struct BucketIndex {
+    heaps: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
+    counts: Vec<u32>,
+    words: [u64; BITMAP_WORDS],
+    summary: u64,
+}
+
+impl BucketIndex {
+    fn new() -> Self {
+        BucketIndex {
+            heaps: (0..BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            counts: vec![0; BUCKETS],
+            words: [0; BITMAP_WORDS],
+            summary: 0,
+        }
+    }
+
+    /// Whether `(start, len)` is still a gap of `mirror`.
+    fn is_gap(mirror: &FreeSpace, start: u64, len: u64) -> bool {
+        mirror
+            .gap_starting_at(Addr::new(start))
+            .is_some_and(|g| g.size().get() == len)
+    }
+
+    fn insert(&mut self, start: u64, len: u64) {
+        let idx = bucket_of(len);
+        self.heaps[idx].push(Reverse((start, len)));
+        self.counts[idx] += 1;
+        self.words[idx / 64] |= 1 << (idx % 64);
+        self.summary |= 1 << (idx / 64);
+    }
+
+    /// Lazy deletion: only the count and bitmap move now; the stale heap
+    /// entry is discarded at the next lookup (its start no longer matches
+    /// a mirror gap of this length).
+    fn remove(&mut self, len: u64, mirror: &FreeSpace) {
+        let idx = bucket_of(len);
+        self.counts[idx] -= 1;
+        if self.counts[idx] == 0 {
+            self.words[idx / 64] &= !(1 << (idx % 64));
+            if self.words[idx / 64] == 0 {
+                self.summary &= !(1 << (idx / 64));
+            }
+        }
+        let heap = &mut self.heaps[idx];
+        if heap.len() >= 64 && heap.len() as u64 > 4 * u64::from(self.counts[idx]) {
+            let mut entries = std::mem::take(heap).into_vec();
+            entries.sort_unstable();
+            entries.dedup();
+            entries.retain(|&Reverse((s, l))| Self::is_gap(mirror, s, l));
+            *heap = BinaryHeap::from(entries);
+        }
+    }
+
+    /// Lowest-address live block in bucket `idx`, popping stale entries on
+    /// the way.
+    fn first_in(&mut self, idx: usize, mirror: &FreeSpace) -> Option<(u64, u64)> {
+        let heap = &mut self.heaps[idx];
+        while let Some(&Reverse((start, len))) = heap.peek() {
+            if Self::is_gap(mirror, start, len) {
+                return Some((start, len));
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// First nonempty bucket at or after `from`: one probe of the summary
+    /// word, one of the selected bitmap word.
+    fn first_nonempty_from(&self, from: usize) -> Option<usize> {
+        let w0 = from / 64;
+        if w0 >= BITMAP_WORDS {
+            return None;
+        }
+        let m = self.words[w0] & (!0u64 << (from % 64));
+        if m != 0 {
+            return Some(w0 * 64 + m.trailing_zeros() as usize);
+        }
+        if w0 + 1 >= BITMAP_WORDS {
+            return None;
+        }
+        let ms = self.summary & (!0u64 << (w0 + 1));
+        if ms == 0 {
+            return None;
+        }
+        let w = ms.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
+    }
+
+    /// Finds a block of at least `size` words: first non-empty bucket at
+    /// or above the search mapping.
+    fn find(&mut self, size: u64, mirror: &FreeSpace) -> Option<(u64, u64)> {
+        let from = search_bucket(size);
+        self.first_nonempty_from(from)
+            .and_then(|idx| self.first_in(idx, mirror))
+            .filter(|&(_, len)| len >= size)
+    }
+
+    /// [`find`](Self::find) plus the number of bucket slots a linear
+    /// nonempty scan would examine, derived from the bitmap in O(1).
+    /// Chooses exactly the same block.
+    fn find_traced(&mut self, size: u64, mirror: &FreeSpace) -> (Option<(u64, u64)>, u64) {
+        let from = search_bucket(size);
+        match self.first_nonempty_from(from) {
+            Some(idx) => {
+                let found = self.first_in(idx, mirror).filter(|&(_, len)| len >= size);
+                (found, (idx - from) as u64 + 1)
+            }
+            None => (None, (BUCKETS - from) as u64),
+        }
+    }
+
+    /// Total free words indexed, deduplicating and validating lazily
+    /// deleted entries.
+    fn free_words(&self, mirror: &FreeSpace) -> u64 {
+        let live: BTreeSet<(u64, u64)> = self
+            .heaps
+            .iter()
+            .flat_map(|h| h.iter())
+            .map(|&Reverse(e)| e)
+            .filter(|&(s, l)| Self::is_gap(mirror, s, l))
+            .collect();
+        live.iter().map(|&(_, len)| len).sum()
+    }
 }
 
 impl Default for TlsfManager {
@@ -83,29 +193,11 @@ impl Default for TlsfManager {
 }
 
 impl TlsfManager {
-    /// Creates an empty TLSF manager on the default mirror impl.
+    /// Creates an empty TLSF manager.
     pub fn new() -> Self {
-        Self::with_mirror(MirrorImpl::default())
-    }
-
-    /// Creates an empty TLSF manager on the given mirror impl (both the
-    /// free-space mirror and the bucket index follow the knob).
-    pub fn with_mirror(mirror: MirrorImpl) -> Self {
-        let index = match mirror {
-            MirrorImpl::Indexed => BucketIndex::Indexed {
-                heaps: (0..BUCKETS).map(|_| BinaryHeap::new()).collect(),
-                counts: vec![0; BUCKETS],
-                words: [0; BITMAP_WORDS],
-                summary: 0,
-            },
-            MirrorImpl::Reference => BucketIndex::Reference {
-                buckets: vec![BTreeSet::new(); BUCKETS],
-                nonempty: vec![false; BUCKETS],
-            },
-        };
         TlsfManager {
-            index,
-            mirror: FreeSpace::with_impl(mirror),
+            index: BucketIndex::new(),
+            mirror: FreeSpace::new(),
         }
     }
 
@@ -138,242 +230,51 @@ impl TlsfManager {
         Self::mapping(rounded)
     }
 
-    fn insert_block(&mut self, start: u64, len: u64) {
-        let (fl, sl) = Self::mapping(len);
-        let idx = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                counts,
-                words,
-                summary,
-            } => {
-                heaps[idx].push(Reverse((start, len)));
-                counts[idx] += 1;
-                words[idx / 64] |= 1 << (idx % 64);
-                *summary |= 1 << (idx / 64);
-            }
-            BucketIndex::Reference { buckets, nonempty } => {
-                buckets[idx].insert((start, len));
-                nonempty[idx] = true;
-            }
-        }
-    }
-
-    fn remove_block(&mut self, start: u64, len: u64) {
-        let (fl, sl) = Self::mapping(len);
-        let idx = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                counts,
-                words,
-                summary,
-            } => {
-                // Lazy deletion: only the count and bitmap move now; the
-                // stale heap entry is discarded at the next lookup (its
-                // start no longer matches a mirror gap of this length).
-                counts[idx] -= 1;
-                if counts[idx] == 0 {
-                    words[idx / 64] &= !(1 << (idx % 64));
-                    if words[idx / 64] == 0 {
-                        *summary &= !(1 << (idx / 64));
-                    }
-                }
-                let heap = &mut heaps[idx];
-                if heap.len() >= 64 && heap.len() as u64 > 4 * u64::from(counts[idx]) {
-                    let mirror = &self.mirror;
-                    let mut entries = std::mem::take(heap).into_vec();
-                    entries.sort_unstable();
-                    entries.dedup();
-                    entries.retain(|&Reverse((s, l))| {
-                        mirror
-                            .gap_starting_at(Addr::new(s))
-                            .is_some_and(|g| g.size().get() == l)
-                    });
-                    *heap = BinaryHeap::from(entries);
-                }
-            }
-            BucketIndex::Reference { buckets, nonempty } => {
-                let removed = buckets[idx].remove(&(start, len));
-                debug_assert!(removed, "block ({start},{len}) indexed");
-                if buckets[idx].is_empty() {
-                    nonempty[idx] = false;
-                }
-            }
-        }
-    }
-
-    /// Lowest-address live block in bucket `idx` of the indexed arm,
-    /// popping stale (lazily deleted) entries on the way.
-    fn indexed_first(
-        heaps: &mut [BinaryHeap<Reverse<(u64, u64)>>],
-        idx: usize,
-        mirror: &FreeSpace,
-    ) -> Option<(u64, u64)> {
-        let heap = &mut heaps[idx];
-        while let Some(&Reverse((start, len))) = heap.peek() {
-            let live = mirror
-                .gap_starting_at(Addr::new(start))
-                .is_some_and(|g| g.size().get() == len);
-            if live {
-                return Some((start, len));
-            }
-            heap.pop();
-        }
-        None
-    }
-
-    /// First nonempty bucket at or after `from` in the indexed arm: one
-    /// probe of the summary word, one of the selected bitmap word.
-    fn first_nonempty_from(
-        words: &[u64; BITMAP_WORDS],
-        summary: u64,
-        from: usize,
-    ) -> Option<usize> {
-        let w0 = from / 64;
-        if w0 >= BITMAP_WORDS {
-            return None;
-        }
-        let m = words[w0] & (!0u64 << (from % 64));
-        if m != 0 {
-            return Some(w0 * 64 + m.trailing_zeros() as usize);
-        }
-        if w0 + 1 >= BITMAP_WORDS {
-            return None;
-        }
-        let ms = summary & (!0u64 << (w0 + 1));
-        if ms == 0 {
-            return None;
-        }
-        let w = ms.trailing_zeros() as usize;
-        Some(w * 64 + words[w].trailing_zeros() as usize)
-    }
-
-    /// Finds a block of at least `size` words: first non-empty bucket at
-    /// or above the search mapping.
-    fn find_block(&mut self, size: u64) -> Option<(u64, u64)> {
-        let (fl, sl) = Self::search_mapping(size);
-        let from = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                words,
-                summary,
-                ..
-            } => Self::first_nonempty_from(words, *summary, from)
-                .and_then(|idx| Self::indexed_first(heaps, idx, &self.mirror))
-                .filter(|&(_, len)| len >= size),
-            BucketIndex::Reference { buckets, nonempty } => nonempty[from..]
-                .iter()
-                .position(|&ne| ne)
-                .and_then(|off| buckets[from + off].first().copied())
-                .filter(|&(_, len)| len >= size),
-        }
-    }
-
-    /// [`find_block`](Self::find_block) plus the number of bucket slots
-    /// a linear nonempty scan would examine (the reference arm's honest
-    /// lookup cost; the indexed arm derives the identical count from its
-    /// bitmap in O(1)). Chooses exactly the same block.
-    fn find_block_traced(&mut self, size: u64) -> (Option<(u64, u64)>, u64) {
-        let (fl, sl) = Self::search_mapping(size);
-        let from = Self::bucket_index(fl, sl);
-        match &mut self.index {
-            BucketIndex::Indexed {
-                heaps,
-                words,
-                summary,
-                ..
-            } => match Self::first_nonempty_from(words, *summary, from) {
-                Some(idx) => {
-                    let found = Self::indexed_first(heaps, idx, &self.mirror)
-                        .filter(|&(_, len)| len >= size);
-                    (found, (idx - from) as u64 + 1)
-                }
-                None => (None, (BUCKETS - from) as u64),
-            },
-            BucketIndex::Reference { buckets, nonempty } => {
-                match nonempty[from..].iter().position(|&ne| ne) {
-                    Some(off) => {
-                        let found = buckets[from + off]
-                            .first()
-                            .copied()
-                            .filter(|&(_, len)| len >= size);
-                        (found, off as u64 + 1)
-                    }
-                    None => (None, (nonempty.len() - from) as u64),
-                }
-            }
-        }
-    }
-
     /// Total free words indexed (diagnostics).
     pub fn indexed_free_words(&self) -> u64 {
-        match &self.index {
-            BucketIndex::Indexed { heaps, .. } => {
-                // Deduplicate and validate lazily-deleted entries.
-                let live: BTreeSet<(u64, u64)> = heaps
-                    .iter()
-                    .flat_map(|h| h.iter())
-                    .map(|&Reverse(e)| e)
-                    .filter(|&(s, l)| {
-                        self.mirror
-                            .gap_starting_at(Addr::new(s))
-                            .is_some_and(|g| g.size().get() == l)
-                    })
-                    .collect();
-                live.iter().map(|&(_, len)| len).sum()
-            }
-            BucketIndex::Reference { buckets, .. } => buckets
-                .iter()
-                .flat_map(|b| b.iter())
-                .map(|&(_, len)| len)
-                .sum(),
-        }
+        self.index.free_words(&self.mirror)
     }
 
     /// Internal-consistency check for tests.
     #[cfg(test)]
     fn check_consistency(&self) {
-        match &self.index {
-            BucketIndex::Indexed {
-                counts,
-                words,
-                summary,
-                heaps,
-            } => {
-                let mut live = vec![0u32; BUCKETS];
-                for g in self.mirror.gaps() {
-                    let (fl, sl) = Self::mapping(g.size().get());
-                    let idx = Self::bucket_index(fl, sl);
-                    live[idx] += 1;
-                    let present = heaps[idx]
-                        .iter()
-                        .any(|&Reverse(e)| e == (g.start().get(), g.size().get()));
-                    assert!(present, "gap {g:?} missing from bucket {idx}");
-                }
-                for idx in 0..BUCKETS {
-                    assert_eq!(counts[idx], live[idx], "count at {idx}");
-                    let bit = (words[idx / 64] >> (idx % 64)) & 1 == 1;
-                    assert_eq!(bit, counts[idx] > 0, "bitmap at {idx}");
-                }
-                for (w, &word) in words.iter().enumerate() {
-                    assert_eq!((summary >> w) & 1 == 1, word != 0, "summary at {w}");
-                }
-            }
-            BucketIndex::Reference { buckets, nonempty } => {
-                for (idx, bucket) in buckets.iter().enumerate() {
-                    assert_eq!(nonempty[idx], !bucket.is_empty(), "bitmap at {idx}");
-                    for &(start, len) in bucket {
-                        let (fl, sl) = Self::mapping(len);
-                        assert_eq!(Self::bucket_index(fl, sl), idx, "({start},{len}) misfiled");
-                    }
-                }
-            }
+        let BucketIndex {
+            heaps,
+            counts,
+            words,
+            summary,
+        } = &self.index;
+        let mut live = vec![0u32; BUCKETS];
+        for g in self.mirror.gaps() {
+            let idx = bucket_of(g.size().get());
+            live[idx] += 1;
+            let present = heaps[idx]
+                .iter()
+                .any(|&Reverse(e)| e == (g.start().get(), g.size().get()));
+            assert!(present, "gap {g:?} missing from bucket {idx}");
+        }
+        for idx in 0..BUCKETS {
+            assert_eq!(counts[idx], live[idx], "count at {idx}");
+            let bit = (words[idx / 64] >> (idx % 64)) & 1 == 1;
+            assert_eq!(bit, counts[idx] > 0, "bitmap at {idx}");
+        }
+        for (w, &word) in words.iter().enumerate() {
+            assert_eq!((summary >> w) & 1 == 1, word != 0, "summary at {w}");
         }
         assert_eq!(self.indexed_free_words(), self.mirror.gap_words().get());
     }
+}
+
+/// The bucket a block of `len` words is filed under.
+fn bucket_of(len: u64) -> usize {
+    let (fl, sl) = TlsfManager::mapping(len);
+    TlsfManager::bucket_index(fl, sl)
+}
+
+/// The first bucket to search for a request of `size` words.
+fn search_bucket(size: u64) -> usize {
+    let (fl, sl) = TlsfManager::search_mapping(size);
+    TlsfManager::bucket_index(fl, sl)
 }
 
 impl MemoryManager for TlsfManager {
@@ -389,7 +290,7 @@ impl MemoryManager for TlsfManager {
         let size = req.size.get();
         let stats = ops.stats_enabled();
         let found = if stats {
-            let (found, probes) = self.find_block_traced(size);
+            let (found, probes) = self.index.find_traced(size, &self.mirror);
             ops.stat_add("tlsf.placements", 1);
             ops.stat_record("tlsf.probes", probes);
             ops.stat_record("alloc.size", size);
@@ -400,13 +301,13 @@ impl MemoryManager for TlsfManager {
             }
             found
         } else if pcb_metrics::enabled() {
-            let (found, probes) = self.find_block_traced(size);
+            let (found, probes) = self.index.find_traced(size, &self.mirror);
             static SCANS: pcb_metrics::Counter =
                 pcb_metrics::Counter::new("manager.bucket_scan_len");
             SCANS.add(probes);
             found
         } else {
-            self.find_block(size)
+            self.index.find(size, &self.mirror)
         };
         match found {
             Some((start, len)) => {
@@ -414,11 +315,11 @@ impl MemoryManager for TlsfManager {
                     ops.stat_add("tlsf.good_fit_serves", 1);
                     ops.stat_record("tlsf.hole_size", len);
                 }
-                self.remove_block(start, len);
+                self.index.remove(len, &self.mirror);
                 let taken = self.mirror.take_exact(Addr::new(start), req.size);
                 debug_assert!(taken, "mirror agrees with the index");
                 if len > size {
-                    self.insert_block(start + size, len - size);
+                    self.index.insert(start + size, len - size);
                 }
                 Ok(Addr::new(start))
             }
@@ -442,15 +343,15 @@ impl MemoryManager for TlsfManager {
         // Coalesce through the mirror: de-index the adjacent gaps, release
         // into the mirror, then (re)index whatever merged gap results.
         if let Some(g) = self.mirror.gap_ending_at(addr) {
-            self.remove_block(g.start().get(), g.size().get());
+            self.index.remove(g.size().get(), &self.mirror);
         }
         if let Some(g) = self.mirror.gap_starting_at(addr + size) {
-            self.remove_block(g.start().get(), g.size().get());
+            self.index.remove(g.size().get(), &self.mirror);
         }
         self.mirror.release(addr, size);
         // If the release retreated the frontier there is nothing to index.
         if let Some(g) = self.mirror.gap_containing(addr) {
-            self.insert_block(g.start().get(), g.size().get());
+            self.index.insert(g.start().get(), g.size().get());
         }
     }
 
@@ -485,66 +386,52 @@ mod tests {
     fn good_fit_blocks_always_fit() {
         // Any block found via search_mapping must be large enough: seed
         // non-adjacent gaps of varied sizes, then probe every size.
-        for mirror in MirrorImpl::ALL {
-            let mut m = TlsfManager::with_mirror(mirror);
-            let taken = m.mirror.take_exact(Addr::new(0), Size::new(400));
-            assert!(taken);
-            for (start, len) in [(0u64, 5u64), (10, 8), (20, 13), (40, 64), (110, 200)] {
-                m.mirror.release(Addr::new(start), Size::new(len));
-                m.insert_block(start, len);
-            }
-            for size in 1..300u64 {
-                if let Some((_, len)) = m.find_block(size) {
-                    assert!(len >= size, "found {len} for request {size}");
-                }
+        let mut m = TlsfManager::new();
+        let taken = m.mirror.take_exact(Addr::new(0), Size::new(400));
+        assert!(taken);
+        for (start, len) in [(0u64, 5u64), (10, 8), (20, 13), (40, 64), (110, 200)] {
+            m.mirror.release(Addr::new(start), Size::new(len));
+            m.index.insert(start, len);
+        }
+        for size in 1..300u64 {
+            if let Some((_, len)) = m.index.find(size, &m.mirror) {
+                assert!(len >= size, "found {len} for request {size}");
             }
         }
     }
 
     #[test]
     fn serves_scripts_and_reuses_space() {
-        for mirror in MirrorImpl::ALL {
-            let program = ScriptedProgram::new(Size::new(1024))
-                .round([], [8, 8, 8, 8])
-                .round([1, 2], [16, 4]);
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                TlsfManager::with_mirror(mirror),
-            );
-            let report = exec.run().expect("tlsf serves the script");
-            assert_eq!(report.objects_placed, 6);
-            // The coalesced 16-word hole [8,24) absorbs the 16-word request.
-            assert_eq!(report.heap_size, 36);
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
-        }
+        let program = ScriptedProgram::new(Size::new(1024))
+            .round([], [8, 8, 8, 8])
+            .round([1, 2], [16, 4]);
+        let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
+        let report = exec.run().expect("tlsf serves the script");
+        assert_eq!(report.objects_placed, 6);
+        // The coalesced 16-word hole [8,24) absorbs the 16-word request.
+        assert_eq!(report.heap_size, 36);
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
     fn interleaved_churn_keeps_index_consistent() {
-        for mirror in MirrorImpl::ALL {
-            let mut program = ScriptedProgram::new(Size::new(4096));
-            let mut base = 0usize;
-            for r in 0..12 {
-                let sizes: Vec<u64> = (1..=16u64).map(|s| (s * (r + 1)) % 37 + 1).collect();
-                let frees: Vec<usize> = if base > 0 {
-                    (base - 16..base).step_by(2).collect()
-                } else {
-                    Vec::new()
-                };
-                program = program.round(frees, sizes);
-                base += 16;
-            }
-            let mut exec = Execution::new(
-                Heap::non_moving(),
-                program,
-                TlsfManager::with_mirror(mirror),
-            );
-            exec.run().expect("tlsf survives churn");
-            let (_, _, manager) = exec.into_parts();
-            manager.check_consistency();
+        let mut program = ScriptedProgram::new(Size::new(4096));
+        let mut base = 0usize;
+        for r in 0..12 {
+            let sizes: Vec<u64> = (1..=16u64).map(|s| (s * (r + 1)) % 37 + 1).collect();
+            let frees: Vec<usize> = if base > 0 {
+                (base - 16..base).step_by(2).collect()
+            } else {
+                Vec::new()
+            };
+            program = program.round(frees, sizes);
+            base += 16;
         }
+        let mut exec = Execution::new(Heap::non_moving(), program, TlsfManager::new());
+        exec.run().expect("tlsf survives churn");
+        let (_, _, manager) = exec.into_parts();
+        manager.check_consistency();
     }
 
     #[test]
@@ -564,41 +451,156 @@ mod tests {
         let (_, _, manager) = exec.into_parts();
         manager.check_consistency();
     }
+}
 
-    #[test]
-    fn bucket_arms_stay_in_lockstep() {
-        // Identical churn through both bucket implementations: every
-        // placement and probe count must agree.
-        let mut program = ScriptedProgram::new(Size::new(1 << 20));
-        let mut base = 0usize;
-        for r in 0..20u64 {
-            let sizes: Vec<u64> = (1..=24u64).map(|s| (s * 13 * (r + 1)) % 700 + 1).collect();
-            let frees: Vec<usize> = if base >= 24 {
-                (base - 24..base).step_by(3).collect()
-            } else {
-                Vec::new()
-            };
-            program = program.round(frees, sizes);
-            base += 24;
+/// The seed address-ordered `BTreeSet` buckets, kept as the oracle
+/// [`BucketIndex`] is checked against in lockstep.
+#[cfg(test)]
+mod lockstep {
+    use std::collections::BTreeSet;
+
+    use pcb_heap::{Addr, Size};
+    use proptest::prelude::*;
+
+    use super::{bucket_of, search_bucket, BucketIndex, BUCKETS};
+    use crate::FreeSpace;
+
+    /// Eagerly maintained buckets with a linear nonempty scan.
+    struct ReferenceBuckets {
+        buckets: Vec<BTreeSet<(u64, u64)>>,
+        nonempty: Vec<bool>,
+    }
+
+    impl ReferenceBuckets {
+        fn new() -> Self {
+            ReferenceBuckets {
+                buckets: vec![BTreeSet::new(); BUCKETS],
+                nonempty: vec![false; BUCKETS],
+            }
         }
-        let mut a = Execution::new(
-            Heap::non_moving(),
-            program.clone(),
-            TlsfManager::with_mirror(MirrorImpl::Indexed),
-        )
-        .with_stats();
-        let mut b = Execution::new(
-            Heap::non_moving(),
-            program,
-            TlsfManager::with_mirror(MirrorImpl::Reference),
-        )
-        .with_stats();
-        let ra = a.run().expect("indexed runs");
-        let rb = b.run().expect("reference runs");
-        assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
-        let (_, _, ma) = a.into_parts();
-        ma.check_consistency();
-        let (_, _, mb) = b.into_parts();
-        mb.check_consistency();
+
+        fn insert(&mut self, start: u64, len: u64) {
+            let idx = bucket_of(len);
+            self.buckets[idx].insert((start, len));
+            self.nonempty[idx] = true;
+        }
+
+        fn remove(&mut self, start: u64, len: u64) {
+            let idx = bucket_of(len);
+            let removed = self.buckets[idx].remove(&(start, len));
+            assert!(removed, "block ({start},{len}) indexed");
+            if self.buckets[idx].is_empty() {
+                self.nonempty[idx] = false;
+            }
+        }
+
+        fn find_traced(&self, size: u64) -> (Option<(u64, u64)>, u64) {
+            let from = search_bucket(size);
+            match self.nonempty[from..].iter().position(|&ne| ne) {
+                Some(off) => {
+                    let found = self.buckets[from + off]
+                        .first()
+                        .copied()
+                        .filter(|&(_, len)| len >= size);
+                    (found, off as u64 + 1)
+                }
+                None => (None, (self.nonempty.len() - from) as u64),
+            }
+        }
+
+        fn free_words(&self) -> u64 {
+            self.buckets
+                .iter()
+                .flat_map(|b| b.iter())
+                .map(|&(_, len)| len)
+                .sum()
+        }
+    }
+
+    /// Blocks live in disjoint `REGION`-word regions, each ending in a
+    /// used word, so every block is exactly one uncoalesced mirror gap.
+    const REGION: u64 = 1 << 12;
+    const REGIONS: u64 = 48;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Free a block of `len` words at the start of region `region`.
+        Insert { region: u64, len: u64 },
+        /// Allocate the whole `pick`-th block.
+        Remove { pick: usize },
+        /// Serve a request the TLSF way: find, then split off the rest.
+        Take { size: u64 },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..REGIONS, 1u64..64).prop_map(|(region, len)| Op::Insert { region, len }),
+            (0u64..REGIONS, 1u64..REGION).prop_map(|(region, len)| Op::Insert { region, len }),
+            (0usize..64).prop_map(|pick| Op::Remove { pick }),
+            (1u64..96).prop_map(|size| Op::Take { size }),
+            (1u64..REGION).prop_map(|size| Op::Take { size }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every lookup picks the same block with the same probe count,
+        // and the indexed free words agree, after every operation.
+        #[test]
+        fn bucket_index_matches_the_seed_buckets(
+            ops in proptest::collection::vec(op_strategy(), 1..200),
+        ) {
+            let mut mirror = FreeSpace::new();
+            prop_assert!(mirror.take_exact(Addr::ZERO, Size::new(REGION * REGIONS + 1)));
+            let mut ind = BucketIndex::new();
+            let mut refr = ReferenceBuckets::new();
+            let mut blocks: BTreeSet<(u64, u64)> = BTreeSet::new();
+            for op in ops {
+                match op {
+                    Op::Insert { region, len } => {
+                        let start = region * REGION;
+                        let len = len.min(REGION - 1);
+                        if mirror.is_free(Addr::new(start), Size::new(1)) {
+                            continue;
+                        }
+                        if blocks.iter().any(|&(s, _)| s / REGION == region) {
+                            continue;
+                        }
+                        mirror.release(Addr::new(start), Size::new(len));
+                        ind.insert(start, len);
+                        refr.insert(start, len);
+                        blocks.insert((start, len));
+                    }
+                    Op::Remove { pick } => {
+                        let Some(&(start, len)) = blocks.iter().nth(pick % blocks.len().max(1))
+                        else {
+                            continue;
+                        };
+                        ind.remove(len, &mirror);
+                        refr.remove(start, len);
+                        prop_assert!(mirror.take_exact(Addr::new(start), Size::new(len)));
+                        blocks.remove(&(start, len));
+                    }
+                    Op::Take { size } => {
+                        let want = refr.find_traced(size);
+                        prop_assert_eq!(ind.find_traced(size, &mirror), want);
+                        if let (Some((start, len)), _) = want {
+                            ind.remove(len, &mirror);
+                            refr.remove(start, len);
+                            prop_assert!(mirror.take_exact(Addr::new(start), Size::new(size)));
+                            blocks.remove(&(start, len));
+                            if len > size {
+                                ind.insert(start + size, len - size);
+                                refr.insert(start + size, len - size);
+                                blocks.insert((start + size, len - size));
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(ind.free_words(&mirror), refr.free_words());
+                prop_assert_eq!(mirror.gap_count(), blocks.len());
+            }
+        }
     }
 }

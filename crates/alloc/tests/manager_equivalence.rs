@@ -1,14 +1,16 @@
-//! Lockstep mirror equivalence: random free-space operation sequences and
-//! random manager workloads are driven through the indexed mirror and the
-//! seed BTree reference simultaneously, asserting identical answers at
-//! every step. This is the ground-truth argument for swapping the manager
-//! mirrors: any divergence, however small, fails here before it can bias
-//! a placement decision.
+//! Lockstep mirror equivalence: random free-space operation sequences are
+//! driven through the indexed [`FreeSpace`] and the seed BTree
+//! [`ReferenceFreeSpace`] simultaneously, asserting identical answers at
+//! every step. This is the ground-truth argument for the indexed manager
+//! mirror: any divergence, however small, fails here before it can bias a
+//! placement decision. The managers' own indexes are checked against
+//! their seed structures by the `lockstep` proptests next to each of them.
 
 use proptest::prelude::*;
 
-use pcb_alloc::{FitPolicy, FreeSpace, ManagerKind, MirrorImpl};
-use pcb_heap::{Addr, Execution, Heap, Params, Size};
+use pcb_alloc::reference::ReferenceFreeSpace;
+use pcb_alloc::{FitPolicy, FreeSpace};
+use pcb_heap::{Addr, Size};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -45,42 +47,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A random but well-formed script: each round allocates sizes in
-/// `[1, 64]` and frees a random subset of what is live, keeping total
-/// live below the bound (shared shape with `prop_managers`).
-fn random_script(rounds: &[(Vec<u64>, Vec<usize>)], live_bound: u64) -> pcb_heap::ScriptedProgram {
-    let mut program = pcb_heap::ScriptedProgram::new(Size::new(live_bound));
-    let mut live: Vec<(usize, u64)> = Vec::new();
-    let mut live_words = 0u64;
-    let mut next_index = 0usize;
-    for (sizes, free_picks) in rounds {
-        let mut frees = Vec::new();
-        for &pick in free_picks {
-            if live.is_empty() {
-                break;
-            }
-            let (idx, size) = live.remove(pick % live.len());
-            frees.push(idx);
-            live_words -= size;
-        }
-        let mut allocs = Vec::new();
-        for &size in sizes {
-            if live_words + size > live_bound {
-                break;
-            }
-            allocs.push(size);
-            live.push((next_index, size));
-            next_index += 1;
-            live_words += size;
-        }
-        program = program.round(frees, allocs);
-    }
-    program
-}
-
 /// The mirror-state comparison run after every operation: gap structure,
 /// frontier, aggregates, and a handful of point probes must agree.
-fn assert_mirrors_agree(indexed: &FreeSpace, reference: &FreeSpace) -> Result<(), TestCaseError> {
+fn assert_mirrors_agree(
+    indexed: &FreeSpace,
+    reference: &ReferenceFreeSpace,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(indexed.frontier(), reference.frontier());
     prop_assert_eq!(indexed.gap_count(), reference.gap_count());
     prop_assert_eq!(indexed.gap_words(), reference.gap_words());
@@ -104,8 +76,8 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
         probes in proptest::collection::vec(0u64..2_200, 1..8),
     ) {
-        let mut indexed = FreeSpace::with_impl(MirrorImpl::Indexed);
-        let mut reference = FreeSpace::with_impl(MirrorImpl::Reference);
+        let mut indexed = FreeSpace::new();
+        let mut reference = ReferenceFreeSpace::new();
         let mut icursor = Addr::ZERO;
         let mut rcursor = Addr::ZERO;
         let mut taken: Vec<(Addr, Size)> = Vec::new();
@@ -176,61 +148,6 @@ proptest! {
                 );
                 prop_assert_eq!(indexed.gap_starting_at(addr), reference.gap_starting_at(addr));
                 prop_assert_eq!(indexed.gap_ending_at(addr), reference.gap_ending_at(addr));
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // Manager-level lockstep: every manager in the suite produces a
-    // byte-identical report on both mirror impls for arbitrary
-    // well-formed workloads (`Report` has no `PartialEq`; the debug
-    // rendering covers every field).
-    #[test]
-    fn every_manager_reports_identically_across_mirrors(
-        rounds in proptest::collection::vec(
-            (
-                proptest::collection::vec(1u64..64, 1..12),
-                proptest::collection::vec(0usize..32, 0..8),
-            ),
-            1..10,
-        ),
-    ) {
-        let live_bound = 1u64 << 12;
-        let params = Params::new(live_bound, 6, 8).expect("valid");
-        for kind in ManagerKind::WITH_BASELINE {
-            let run = |mirror: MirrorImpl| {
-                let program = random_script(&rounds, live_bound);
-                let heap = if kind.is_unbounded() {
-                    Heap::unlimited_compaction()
-                } else if kind.is_compacting() {
-                    Heap::new(8)
-                } else {
-                    Heap::non_moving()
-                };
-                let manager = kind.try_build_with(&params, mirror).expect("buildable");
-                let mut exec = Execution::new(heap, program, manager);
-                exec.run().map(|report| format!("{report:?}"))
-            };
-            let indexed = run(MirrorImpl::Indexed);
-            let reference = run(MirrorImpl::Reference);
-            match (indexed, reference) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} diverged", kind),
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "{} failed differently",
-                    kind
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "{} diverged: indexed {:?}, reference {:?}",
-                    kind,
-                    a.map(|_| "ok"),
-                    b.map(|_| "ok")
-                ),
             }
         }
     }

@@ -1,19 +1,17 @@
-//! Before/after benchmark of the occupancy substrate.
+//! Benchmark of the occupancy map against its seed.
 //!
 //! For every cell of a pinned `(M, log₂ n, c, manager)` grid drawn from
 //! the empirical experiment, the bench:
 //!
-//! 1. runs the full `P_F` simulation end-to-end once per substrate and
-//!    asserts the two `SimReport`s serialize byte-identically (the
-//!    bitmap substrate must be invisible in the results);
+//! 1. times the full `P_F` simulation end-to-end once;
 //! 2. records the execution's event stream once and replays the
-//!    occupy/release ops against a bare [`SpaceMap`] per substrate,
-//!    best-of-N — this isolates exactly the referee the substrate
-//!    implements, without the manager free-list mirrors and adversary
-//!    bookkeeping both substrates pay identically end-to-end;
+//!    occupy/release ops against a bare bitmap [`SpaceMap`] and the seed
+//!    [`ReferenceSpace`], best-of-N — this isolates exactly the referee,
+//!    without the manager free-list mirrors and adversary bookkeeping;
 //! 3. times the observability window-query surface (the
 //!    `occupied_words_in` sweep behind the heat map plus the `gaps()`
-//!    walk behind fragmentation snapshots) on the final replayed state.
+//!    walk behind fragmentation snapshots) on the final replayed state of
+//!    both maps, asserting they agree.
 //!
 //! ```text
 //! cargo run --release -p pcb-bench --bin heap_bench \
@@ -25,7 +23,7 @@
 //! `BENCH_heap.json` unless `--out` overrides it. Smoke and full mode
 //! run the *same number* of cells so `pcb bench diff` can
 //! structure-check a smoke artifact against the checked-in full
-//! baseline. `--trace-out` records spans and the substrate's high-water
+//! baseline. `--trace-out` records spans and the bitmap's high-water
 //! counters in Chrome trace-event format.
 
 use std::hint::black_box;
@@ -33,9 +31,8 @@ use std::time::Instant;
 
 use pcb_telemetry as telemetry;
 
-use partial_compaction::heap::{
-    Addr, Event, Extent, ObjectId, Recorder, Size, SpaceMap, Substrate,
-};
+use partial_compaction::heap::reference::ReferenceSpace;
+use partial_compaction::heap::{Addr, Event, Extent, ObjectId, Recorder, Size, SpaceMap};
 use partial_compaction::{parallel, sim, ManagerKind, Params};
 use pcb_json::{Json, ToJson};
 
@@ -81,7 +78,7 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// A mutation against the substrate referee, distilled from the event
+/// A mutation against the referee, distilled from the event
 /// stream (round markers dropped). A `Moved` event becomes the
 /// release-then-occupy pair the heap performs internally.
 #[derive(Clone, Copy)]
@@ -106,22 +103,51 @@ fn distill(recorder: &Recorder) -> Vec<ReplayOp> {
     ops
 }
 
-/// Replays the distilled op stream against a bare [`SpaceMap`] on
-/// `substrate` — exactly the referee this substrate swap replaces; the
-/// heap's object table, budget ledger, and stats are identical code on
-/// both sides and are covered by the end-to-end timings. Returns the
-/// final map for the window-query phase.
-fn replay(ops: &[ReplayOp], substrate: Substrate) -> SpaceMap {
-    let mut space = SpaceMap::with_substrate(substrate);
+/// The referee operations a replay and a window sweep drive, on either
+/// map.
+trait Referee: Default {
+    fn occupy(&mut self, owner: ObjectId, extent: Extent);
+    fn release(&mut self, start: Addr);
+    fn frontier(&self) -> Addr;
+    fn occupied_words_in(&self, window: Extent) -> Size;
+    fn gap_words(&self) -> u64;
+}
+
+macro_rules! impl_referee {
+    ($t:ty) => {
+        impl Referee for $t {
+            fn occupy(&mut self, owner: ObjectId, extent: Extent) {
+                <$t>::occupy(self, owner, extent).expect("recorded placement replays")
+            }
+            fn release(&mut self, start: Addr) {
+                <$t>::release(self, start).expect("recorded free replays");
+            }
+            fn frontier(&self) -> Addr {
+                <$t>::frontier(self)
+            }
+            fn occupied_words_in(&self, window: Extent) -> Size {
+                <$t>::occupied_words_in(self, window)
+            }
+            fn gap_words(&self) -> u64 {
+                <$t>::gaps(self).map(|gap| gap.size().get()).sum()
+            }
+        }
+    };
+}
+
+impl_referee!(SpaceMap);
+impl_referee!(ReferenceSpace);
+
+/// Replays the distilled op stream against a bare map — exactly the
+/// referee; the heap's object table, budget ledger, and stats are covered
+/// by the end-to-end timings. Returns the final map for the window-query
+/// phase.
+fn replay<R: Referee>(ops: &[ReplayOp]) -> R {
+    let mut space = R::default();
     for &op in ops {
         match op {
-            ReplayOp::Occupy(id, addr, size) => space
-                .occupy(id, Extent::new(addr, size))
-                .expect("recorded placement replays"),
-            ReplayOp::Release(addr) => space
-                .release(addr)
-                .map(|_| ())
-                .expect("recorded free replays"),
+            ReplayOp::Occupy(id, addr, size) => space.occupy(id, Extent::new(addr, size)),
+            ReplayOp::Release(addr) => space.release(addr),
         }
     }
     space
@@ -131,7 +157,7 @@ fn replay(ops: &[ReplayOp], substrate: Substrate) -> SpaceMap {
 /// sweep (256 buckets over the used span) plus the fragmentation
 /// snapshot's `gaps()` walk, repeated `rounds` times as the engine does
 /// once per round.
-fn window_sweep(space: &SpaceMap, rounds: u32) -> u64 {
+fn window_sweep<R: Referee>(space: &R, rounds: u32) -> u64 {
     const BUCKETS: u64 = 256;
     let span = space.frontier().get();
     let bucket = (span / BUCKETS).max(1);
@@ -143,9 +169,7 @@ fn window_sweep(space: &SpaceMap, rounds: u32) -> u64 {
             acc += space.occupied_words_in(Extent::from_raw(lo, hi - lo)).get();
             lo = hi;
         }
-        for gap in space.gaps() {
-            acc += gap.size().get();
-        }
+        acc += space.gap_words();
     }
     acc
 }
@@ -162,13 +186,12 @@ fn timed<T>(iters: u32, mut run: impl FnMut() -> T) -> (f64, T) {
     (best, out.expect("at least one iteration"))
 }
 
-/// One end-to-end simulation of the cell on `substrate`, serialized.
-fn simulate(cell: &Cell, substrate: Substrate) -> String {
+/// One end-to-end simulation of the cell, serialized.
+fn simulate(cell: &Cell) -> String {
     let params = Params::new(cell.m, cell.log_n, cell.c).expect("grid cell is a valid Params");
     sim::Sim::new(params)
         .adversary(sim::Adversary::PF)
         .manager(cell.manager)
-        .substrate(substrate)
         .run()
         .expect("grid cell runs")
         .to_json()
@@ -202,22 +225,13 @@ fn main() {
 
     let mut rows: Vec<Json> = Vec::new();
     let (mut total_ref_replay, mut total_bit_replay) = (0.0f64, 0.0f64);
-    let (mut total_ref_e2e, mut total_bit_e2e) = (0.0f64, 0.0f64);
+    let mut total_bit_e2e = 0.0f64;
     let (mut total_ref_window, mut total_bit_window) = (0.0f64, 0.0f64);
     let mut total_ops = 0u64;
     for cell in grid(smoke) {
         let params = Params::new(cell.m, cell.log_n, cell.c).expect("grid cell is a valid Params");
-        // End-to-end, unobserved: the substrate must be invisible in the
-        // report, and the wall-clock gap it closes is bounded by the
-        // manager/adversary work both sides share.
-        let (ref_e2e, ref_report) = timed(1, || simulate(&cell, Substrate::Reference));
-        let (bit_e2e, bit_report) = timed(1, || simulate(&cell, Substrate::Bitmap));
-        assert_eq!(
-            ref_report,
-            bit_report,
-            "{}: SimReports diverged between substrates",
-            cell.label()
-        );
+        // End-to-end, unobserved.
+        let (bit_e2e, _) = timed(1, || simulate(&cell));
         // Record the op stream once (observer overhead excluded from all
         // timed runs) and replay it against the bare referee.
         let mut recorder = Recorder::new();
@@ -228,13 +242,13 @@ fn main() {
             .run()
             .expect("observed run matches the timed runs");
         let ops = distill(&recorder);
-        let (ref_replay, _) = timed(iters, || replay(&ops, Substrate::Reference));
+        let (ref_replay, _) = timed(iters, || replay::<ReferenceSpace>(&ops));
         let (bit_replay, final_space) = {
             let _span = telemetry::span!("bench.bitmap_replay");
-            timed(iters, || replay(&ops, Substrate::Bitmap))
+            timed(iters, || replay::<SpaceMap>(&ops))
         };
         // Window-query surface on the final replayed state.
-        let ref_space = replay(&ops, Substrate::Reference);
+        let ref_space = replay::<ReferenceSpace>(&ops);
         let (ref_window, ref_acc) = timed(iters, || window_sweep(&ref_space, sweep_rounds));
         let (bit_window, bit_acc) = timed(iters, || window_sweep(&final_space, sweep_rounds));
         assert_eq!(ref_acc, bit_acc, "{}: window sweeps diverged", cell.label());
@@ -252,7 +266,7 @@ fn main() {
         let window_speedup = ref_window / bit_window;
         eprintln!(
             "{:36} {:8} ops  replay {:7.4}s -> {:7.4}s ({:5.2}x)  \
-             windows {:7.4}s -> {:7.4}s ({:5.2}x)  e2e {:5.2}x",
+             windows {:7.4}s -> {:7.4}s ({:5.2}x)  e2e {:7.4}s",
             cell.label(),
             op_count,
             ref_replay,
@@ -261,11 +275,10 @@ fn main() {
             ref_window,
             bit_window,
             window_speedup,
-            ref_e2e / bit_e2e,
+            bit_e2e,
         );
         total_ref_replay += ref_replay;
         total_bit_replay += bit_replay;
-        total_ref_e2e += ref_e2e;
         total_bit_e2e += bit_e2e;
         total_ref_window += ref_window;
         total_bit_window += bit_window;
@@ -288,10 +301,7 @@ fn main() {
             ("reference_window_seconds", Json::from(ref_window)),
             ("bitmap_window_seconds", Json::from(bit_window)),
             ("window_speedup", Json::from(window_speedup)),
-            ("reference_e2e_seconds", Json::from(ref_e2e)),
             ("bitmap_e2e_seconds", Json::from(bit_e2e)),
-            ("e2e_speedup", Json::from(ref_e2e / bit_e2e)),
-            ("reports_identical", Json::from(true)),
         ]));
     }
 
@@ -312,18 +322,12 @@ fn main() {
         ("total_bitmap_replay_seconds", Json::from(total_bit_replay)),
         ("overall_replay_speedup", Json::from(overall_replay)),
         ("overall_window_speedup", Json::from(overall_window)),
-        ("total_reference_e2e_seconds", Json::from(total_ref_e2e)),
         ("total_bitmap_e2e_seconds", Json::from(total_bit_e2e)),
-        (
-            "overall_e2e_speedup",
-            Json::from(total_ref_e2e / total_bit_e2e),
-        ),
     ]);
     std::fs::write(&out_path, format!("{report}\n")).expect("write artifact");
     eprintln!(
         "overall: replay {overall_replay:.2}x, windows {overall_window:.2}x, \
-         e2e {:.2}x -> {out_path}",
-        total_ref_e2e / total_bit_e2e
+         e2e {total_bit_e2e:.4}s -> {out_path}"
     );
     if let Some(path) = trace_out {
         telemetry::disable();

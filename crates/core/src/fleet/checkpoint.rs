@@ -29,10 +29,11 @@ use super::{
 use crate::config::RunConfig;
 
 /// Version stamp embedded in every checkpoint; bumped whenever the
-/// serialized layout changes incompatibly (v2: waste-attribution
-/// vectors, per-bucket rollups, and the metric plane joined the
-/// accumulator).
-pub const FORMAT_VERSION: u64 = 2;
+/// serialized layout or the fingerprint changes incompatibly (v2:
+/// waste-attribution vectors, per-bucket rollups, and the metric plane
+/// joined the accumulator; v3: the fingerprint no longer hashes an
+/// occupancy-map or manager-mirror implementation).
+pub const FORMAT_VERSION: u64 = 3;
 
 /// How a checkpointed fleet run behaves.
 #[derive(Debug, Clone)]
@@ -120,13 +121,11 @@ pub(crate) fn hash_desc(desc: &str) -> u64 {
 /// is deliberately excluded (see the module docs).
 pub(crate) fn fingerprint(cfg: &FleetConfig, run: &RunConfig) -> u64 {
     hash_desc(&format!(
-        "{}|{}|{}|{:?}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{:?}|{}|{}|{}",
         cfg.tenants,
         cfg.shards,
         cfg.manager,
         cfg.mixer,
-        run.substrate,
-        run.mirror,
         run.chaos,
         run.paranoia,
         // Metrics shape the accumulator (the snapshot is part of the
@@ -199,7 +198,7 @@ pub(crate) fn load(
     if stamped != Some(fingerprint(cfg, run)) {
         return Err(fail(
             "fingerprint mismatch: checkpoint belongs to a different \
-             fleet configuration (tenants/shards/manager/mixer/substrate/mirror/chaos/paranoia)"
+             fleet configuration (tenants/shards/manager/mixer/chaos/paranoia/metrics)"
                 .into(),
         ));
     }
@@ -438,6 +437,31 @@ mod tests {
         );
         let armed = pcb_chaos::FaultPlan::new(1).with_rate(pcb_chaos::FaultSite::TenantPanic, 50);
         assert_ne!(base, fingerprint(&cfg, &run.with_chaos(armed)));
+    }
+
+    #[test]
+    fn an_older_format_version_is_refused_by_version_not_fingerprint() {
+        let cfg = FleetConfig::default();
+        let run = RunConfig::default();
+        let path =
+            std::env::temp_dir().join(format!("pcb-checkpoint-v2-{}.json", std::process::id()));
+        let opts = CheckpointOptions::new(&path);
+        let acc = FleetAccumulator::new(1, 1);
+        save(&cfg, &run, &opts, 4, 1, 0, &acc).expect("save");
+        let current = fs::read_to_string(&path).expect("read back");
+        let stamp = format!("\"format_version\":{FORMAT_VERSION}");
+        assert!(current.contains(&stamp), "{current}");
+        fs::write(&path, current.replace(&stamp, "\"format_version\":2")).expect("rewrite");
+        let err = load(&cfg, &run, &opts, 4, 1, 1).map(|_| ()).unwrap_err();
+        let _ = fs::remove_file(&path);
+        match err {
+            FleetError::Checkpoint(msg) => assert!(
+                msg.contains("format version Some(2)")
+                    && msg.contains(&format!("reads {FORMAT_VERSION}")),
+                "{msg}"
+            ),
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ mod metrics;
 mod object;
 mod params;
 mod program;
+pub mod reference;
 mod series;
 mod space;
 mod stats;
@@ -80,6 +81,6 @@ pub use object::{ObjectId, ObjectIdGen, ObjectRecord};
 pub use params::{Params, ParamsError};
 pub use program::{MoveResponse, Program, ScriptRound, ScriptedProgram};
 pub use series::TimeSeries;
-pub use space::{ParseSubstrateError, SpaceMap, Substrate, SubstrateCounters};
+pub use space::{SpaceMap, SubstrateCounters};
 pub use stats::{Histogram, StatSink};
 pub use trace::{Trace, TraceEvent, TraceRecorder, TraceWriter, TraceWriterBuilder};

@@ -1,8 +1,8 @@
-//! Word-granularity bitmap substrate: the default, fast occupancy map.
+//! Word-granularity occupancy bitmap behind [`SpaceMap`].
 //!
 //! Production compacting allocators answer occupancy queries with per-span
 //! bitmaps and word-level bit scans rather than ordered maps; this module
-//! brings that substrate shape to the simulator's referee. Three parallel
+//! brings that shape to the simulator's referee. Three parallel
 //! structures carry the ground truth:
 //!
 //! * `occ` — one bit per heap word, set iff the word is occupied;
@@ -43,15 +43,28 @@ const DIR_PAGE: usize = 1 << 12;
 /// Sentinel for "no slot" in directory pages.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Hard cap on mapped addresses (in words). The bitmap substrate backs the
-/// whole address range below the frontier with real memory, so a manager
-/// placing at astronomically sparse addresses would OOM the simulator; the
-/// reference substrate (`PCB_SUBSTRATE=reference`) handles those.
+/// Hard cap on mapped addresses (in words). The bitmap backs the whole
+/// address range below the frontier with real memory, so a manager placing
+/// at astronomically sparse addresses would otherwise OOM the simulator.
 const MAX_ADDR: u64 = 1 << 32;
 
-/// Occupancy bitmap with a 64-word-stride summary and SoA slot metadata.
+/// Occupancy map: a bitmap with a 64-word-stride summary and SoA slot
+/// metadata.
+///
+/// Invariant: stored intervals are non-empty and pairwise disjoint.
+///
+/// ```
+/// use pcb_heap::{Addr, Extent, ObjectId, Size, SpaceMap};
+/// let mut map = SpaceMap::new();
+/// let id = ObjectId::from_raw(0);
+/// map.occupy(id, Extent::from_raw(0, 4))?;
+/// assert!(map.is_free(Extent::from_raw(4, 4)));
+/// assert!(!map.is_free(Extent::from_raw(3, 2)));
+/// assert_eq!(map.object_at(Addr::new(2)), Some(id));
+/// # Ok::<(), pcb_heap::SpaceError>(())
+/// ```
 #[derive(Debug, Default, Clone)]
-pub(super) struct BitmapSpace {
+pub struct SpaceMap {
     /// Occupancy bits: bit `a % 64` of `occ[a / 64]`.
     occ: Vec<u64>,
     /// Interval-start bits, same geometry as `occ`.
@@ -82,7 +95,7 @@ pub(super) struct BitmapSpace {
     slots_reused: u64,
 }
 
-/// Substrate-level telemetry counters (bitmap substrate only).
+/// Telemetry counters of a [`SpaceMap`]'s scans and slot table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubstrateCounters {
     /// Occupancy words examined by bit scans (overlap checks, gap walks,
@@ -96,38 +109,51 @@ pub struct SubstrateCounters {
     pub slots_reused: u64,
 }
 
-impl BitmapSpace {
+impl SpaceMap {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of stored intervals.
     #[inline]
-    pub(super) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.live
     }
 
+    /// Whether no interval is stored.
     #[inline]
-    pub(super) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.live == 0
     }
 
+    /// Total number of occupied words.
     #[inline]
-    pub(super) fn occupied_words(&self) -> Size {
+    pub fn occupied_words(&self) -> Size {
         Size::new(self.occupied)
     }
 
+    /// One past the highest occupied word (0 when empty). O(1): cached
+    /// across [`occupy`](Self::occupy)/[`release`](Self::release).
     #[inline]
-    pub(super) fn frontier(&self) -> Addr {
+    pub fn frontier(&self) -> Addr {
         Addr::new(self.frontier)
     }
 
-    pub(super) fn lowest(&self) -> Option<Addr> {
+    /// The lowest occupied word, if any interval is stored.
+    pub fn lowest(&self) -> Option<Addr> {
         self.first_set(0, self.frontier).map(Addr::new)
     }
 
-    pub(super) fn counters(&self) -> SubstrateCounters {
-        SubstrateCounters {
+    /// Telemetry counters (words scanned, summary skips, slot high-water
+    /// mark and reuse).
+    pub fn counters(&self) -> Option<SubstrateCounters> {
+        Some(SubstrateCounters {
             words_scanned: self.words_scanned.get(),
             summary_skips: self.summary_skips.get(),
             slot_high_water: self.slot_start.len() as u64,
             slots_reused: self.slots_reused,
-        }
+        })
     }
 
     #[inline]
@@ -140,9 +166,8 @@ impl BitmapSpace {
     fn ensure_capacity(&mut self, end: u64) {
         assert!(
             end <= MAX_ADDR,
-            "bitmap substrate caps the address space at 2^32 words \
-             (placement ends at {end}); run with PCB_SUBSTRATE=reference \
-             for sparser address patterns"
+            "the occupancy map caps the address space at 2^32 words \
+             (placement ends at {end})"
         );
         let words = (end as usize).div_ceil(64);
         if words > self.occ.len() {
@@ -331,7 +356,8 @@ impl BitmapSpace {
         }
     }
 
-    pub(super) fn is_free(&self, extent: Extent) -> bool {
+    /// Whether every word of `extent` is free.
+    pub fn is_free(&self, extent: Extent) -> bool {
         if extent.size().is_zero() {
             return true;
         }
@@ -339,7 +365,7 @@ impl BitmapSpace {
             .is_none()
     }
 
-    /// The reference oracle's `Extent::overlaps` treats an empty window
+    /// `Extent::overlaps` treats an empty window
     /// `[x, x)` as overlapping the interval that strictly contains `x`
     /// (`start < x < end`) — a plain bit scan over zero addresses sees
     /// nothing. Mirror the quirk: `x` overlaps iff its occupancy bit is
@@ -355,7 +381,8 @@ impl BitmapSpace {
         Some(self.resolve(x))
     }
 
-    pub(super) fn first_overlap(&self, extent: Extent) -> Option<(Extent, ObjectId)> {
+    /// The first stored interval overlapping `extent`, if any.
+    pub fn first_overlap(&self, extent: Extent) -> Option<(Extent, ObjectId)> {
         if extent.size().is_zero() {
             return self.empty_window_container(extent.start().get());
         }
@@ -363,7 +390,11 @@ impl BitmapSpace {
             .map(|bit| self.resolve(bit))
     }
 
-    pub(super) fn overlapping(&self, extent: Extent) -> Overlapping<'_> {
+    /// All stored intervals overlapping `extent`, in address order.
+    ///
+    /// Lazy: the analysis calls this once per chunk-density probe, so no
+    /// intermediate `Vec` is built.
+    pub fn overlapping(&self, extent: Extent) -> impl Iterator<Item = (Extent, ObjectId)> + '_ {
         Overlapping {
             space: self,
             pending: if extent.size().is_zero() {
@@ -376,7 +407,8 @@ impl BitmapSpace {
         }
     }
 
-    pub(super) fn iter(&self) -> Overlapping<'_> {
+    /// Iterates over stored intervals in address order.
+    pub fn iter(&self) -> impl Iterator<Item = (Extent, ObjectId)> + '_ {
         Overlapping {
             space: self,
             pending: None,
@@ -385,14 +417,26 @@ impl BitmapSpace {
         }
     }
 
-    pub(super) fn gaps(&self) -> Gaps<'_> {
+    /// Iterates over the free gaps strictly between occupied intervals (it
+    /// does not report the unbounded free space above the frontier).
+    pub fn gaps(&self) -> impl Iterator<Item = Extent> + '_ {
         Gaps {
             space: self,
             pos: self.first_set(0, self.frontier).unwrap_or(u64::MAX),
         }
     }
 
-    pub(super) fn occupy(&mut self, owner: ObjectId, extent: Extent) -> Result<(), SpaceError> {
+    /// Marks `extent` as occupied by `owner`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpaceError::Overlap`] if any word of `extent` is already
+    /// occupied, and [`SpaceError::EmptyExtent`] for zero-sized extents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `extent` ends above 2^32 words.
+    pub fn occupy(&mut self, owner: ObjectId, extent: Extent) -> Result<(), SpaceError> {
         if extent.size().is_zero() {
             return Err(SpaceError::EmptyExtent { owner });
         }
@@ -480,7 +524,12 @@ impl BitmapSpace {
         Ok(())
     }
 
-    pub(super) fn release(&mut self, start: Addr) -> Result<(Extent, ObjectId), SpaceError> {
+    /// Releases the interval starting exactly at `start`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpaceError::NotOccupied`] if no interval starts at `start`.
+    pub fn release(&mut self, start: Addr) -> Result<(Extent, ObjectId), SpaceError> {
         let a = start.get();
         let w = (a / 64) as usize;
         if w >= self.starts.len() || self.starts[w] & (1u64 << (a % 64)) == 0 {
@@ -500,7 +549,8 @@ impl BitmapSpace {
         Ok((Extent::new(start, Size::new(size)), owner))
     }
 
-    pub(super) fn object_at(&self, addr: Addr) -> Option<ObjectId> {
+    /// The object whose interval contains `addr`, if any.
+    pub fn object_at(&self, addr: Addr) -> Option<ObjectId> {
         let a = addr.get();
         if a >= self.frontier {
             return None;
@@ -511,10 +561,10 @@ impl BitmapSpace {
         Some(self.resolve(a).1)
     }
 
-    /// Masked popcount over the window, skipping empty blocks via the
-    /// summary — the heatmap and chunk-density queries hit this per cell
-    /// per round.
-    pub(super) fn occupied_words_in(&self, window: Extent) -> Size {
+    /// Number of occupied words inside `window`: a masked popcount that
+    /// skips empty blocks via the summary. The heatmap and the analysis's
+    /// chunk-density queries hit this per cell per round.
+    pub fn occupied_words_in(&self, window: Extent) -> Size {
         let lo = window.start().get();
         let hi = window.end().get().min(self.frontier);
         if lo >= hi {
@@ -567,8 +617,8 @@ impl BitmapSpace {
 /// the first set bit past its predecessor's end, which invariant 3
 /// guarantees is itself a start — `resolve` then terminates on its first
 /// probe.
-pub(super) struct Overlapping<'a> {
-    space: &'a BitmapSpace,
+struct Overlapping<'a> {
+    space: &'a SpaceMap,
     /// The empty-window containment case, yielded before any bit scan.
     pending: Option<(Extent, ObjectId)>,
     pos: u64,
@@ -590,8 +640,8 @@ impl Iterator for Overlapping<'_> {
 }
 
 /// Iterator over interior free gaps (holes strictly between intervals).
-pub(super) struct Gaps<'a> {
-    space: &'a BitmapSpace,
+struct Gaps<'a> {
+    space: &'a SpaceMap,
     /// Next address to examine; `u64::MAX` when the map is empty.
     pos: u64,
 }

@@ -6,563 +6,224 @@
 //! deliberately independent of any manager-side free-list so that a buggy
 //! manager cannot corrupt the ground truth it is judged against.
 //!
-//! Two interchangeable substrates answer every query identically:
-//!
-//! * [`Substrate::Bitmap`] (default) — a word-granularity occupancy bitmap
-//!   with a 64-word-stride summary level and struct-of-arrays object
-//!   metadata ([`bitmap`]); roughly an order of magnitude faster on the
-//!   simulate hot path;
-//! * [`Substrate::Reference`] — the original `BTreeMap` interval map
-//!   ([`reference`]), retained as the correctness oracle and bench
-//!   baseline.
-//!
-//! Pick one per map with [`SpaceMap::with_substrate`], or globally with the
-//! `PCB_SUBSTRATE` environment variable (mirroring `PCB_THREADS`).
+//! The map is a word-granularity occupancy bitmap with a 64-word-stride
+//! summary level and struct-of-arrays object metadata ([`bitmap`]). The
+//! seed `BTreeMap` interval map survives as
+//! [`ReferenceSpace`](crate::reference::ReferenceSpace), which
+//! `tests/substrate_equivalence.rs` drives in lockstep with this one.
 
 mod bitmap;
-mod reference;
 
-use core::fmt;
-use core::str::FromStr;
-
-use crate::addr::{Addr, Extent, Size};
-use crate::error::SpaceError;
-use crate::object::ObjectId;
-
-use bitmap::BitmapSpace;
-use reference::ReferenceSpace;
-
-pub use bitmap::SubstrateCounters;
-
-/// Selects the data structure backing a [`SpaceMap`].
-///
-/// Both substrates implement the same occupancy semantics bit-for-bit; the
-/// bitmap is the fast default and the reference `BTreeMap` is the retained
-/// oracle. The default is read from the `PCB_SUBSTRATE` environment
-/// variable (`bitmap` or `reference`; unset or unrecognised values mean
-/// [`Substrate::Bitmap`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Substrate {
-    /// Word-granularity occupancy bitmap + SoA slot metadata (default).
-    #[default]
-    Bitmap,
-    /// The original `BTreeMap` interval map — the correctness oracle.
-    Reference,
-}
-
-impl Substrate {
-    /// Every substrate, bitmap first.
-    pub const ALL: [Substrate; 2] = [Substrate::Bitmap, Substrate::Reference];
-
-    /// The name accepted by `PCB_SUBSTRATE` and `--substrate`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Substrate::Bitmap => "bitmap",
-            Substrate::Reference => "reference",
-        }
-    }
-
-    /// Reads `PCB_SUBSTRATE`; unset, empty, or unrecognised values fall
-    /// back to the default (same convention as `PCB_THREADS`).
-    pub fn from_env() -> Substrate {
-        match std::env::var("PCB_SUBSTRATE") {
-            Ok(v) => v.trim().parse().unwrap_or_default(),
-            Err(_) => Substrate::default(),
-        }
-    }
-}
-
-impl fmt::Display for Substrate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error for unrecognised [`Substrate`] names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSubstrateError {
-    given: String,
-}
-
-impl fmt::Display for ParseSubstrateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown substrate {:?} (expected \"bitmap\" or \"reference\")",
-            self.given
-        )
-    }
-}
-
-impl std::error::Error for ParseSubstrateError {}
-
-impl FromStr for Substrate {
-    type Err = ParseSubstrateError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bitmap" => Ok(Substrate::Bitmap),
-            "reference" | "btreemap" => Ok(Substrate::Reference),
-            other => Err(ParseSubstrateError {
-                given: other.to_owned(),
-            }),
-        }
-    }
-}
-
-/// Occupancy map keyed by interval start address.
-///
-/// Invariant: stored intervals are non-empty and pairwise disjoint.
-///
-/// ```
-/// use pcb_heap::{Addr, Extent, ObjectId, Size, SpaceMap};
-/// let mut map = SpaceMap::new();
-/// let id = ObjectId::from_raw(0);
-/// map.occupy(id, Extent::from_raw(0, 4))?;
-/// assert!(map.is_free(Extent::from_raw(4, 4)));
-/// assert!(!map.is_free(Extent::from_raw(3, 2)));
-/// assert_eq!(map.object_at(Addr::new(2)), Some(id));
-/// # Ok::<(), pcb_heap::SpaceError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SpaceMap {
-    imp: Impl,
-}
-
-#[derive(Debug, Clone)]
-enum Impl {
-    Bitmap(BitmapSpace),
-    Reference(ReferenceSpace),
-}
-
-/// Dispatches a method call to the active substrate.
-macro_rules! on {
-    ($self:expr, $s:ident => $body:expr) => {
-        match &$self.imp {
-            Impl::Bitmap($s) => $body,
-            Impl::Reference($s) => $body,
-        }
-    };
-    (mut $self:expr, $s:ident => $body:expr) => {
-        match &mut $self.imp {
-            Impl::Bitmap($s) => $body,
-            Impl::Reference($s) => $body,
-        }
-    };
-}
-
-impl Default for SpaceMap {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpaceMap {
-    /// Creates an empty map on the substrate selected by `PCB_SUBSTRATE`
-    /// (the bitmap substrate when unset).
-    pub fn new() -> Self {
-        Self::with_substrate(Substrate::from_env())
-    }
-
-    /// Creates an empty map on an explicit substrate.
-    pub fn with_substrate(substrate: Substrate) -> Self {
-        let imp = match substrate {
-            Substrate::Bitmap => Impl::Bitmap(BitmapSpace::default()),
-            Substrate::Reference => Impl::Reference(ReferenceSpace::default()),
-        };
-        SpaceMap { imp }
-    }
-
-    /// The substrate backing this map.
-    pub fn substrate(&self) -> Substrate {
-        match self.imp {
-            Impl::Bitmap(_) => Substrate::Bitmap,
-            Impl::Reference(_) => Substrate::Reference,
-        }
-    }
-
-    /// Substrate telemetry counters (`None` on the reference substrate,
-    /// which keeps the oracle free of instrumentation).
-    pub fn counters(&self) -> Option<SubstrateCounters> {
-        match &self.imp {
-            Impl::Bitmap(b) => Some(b.counters()),
-            Impl::Reference(_) => None,
-        }
-    }
-
-    /// Number of stored intervals.
-    pub fn len(&self) -> usize {
-        on!(self, s => s.len())
-    }
-
-    /// Whether no interval is stored.
-    pub fn is_empty(&self) -> bool {
-        on!(self, s => s.is_empty())
-    }
-
-    /// Total number of occupied words.
-    pub fn occupied_words(&self) -> Size {
-        on!(self, s => s.occupied_words())
-    }
-
-    /// Whether every word of `extent` is free.
-    pub fn is_free(&self, extent: Extent) -> bool {
-        on!(self, s => s.is_free(extent))
-    }
-
-    /// The first stored interval overlapping `extent`, if any.
-    pub fn first_overlap(&self, extent: Extent) -> Option<(Extent, ObjectId)> {
-        on!(self, s => s.first_overlap(extent))
-    }
-
-    /// All stored intervals overlapping `extent`, in address order.
-    ///
-    /// Lazy: the analysis calls this once per chunk-density probe, so no
-    /// intermediate `Vec` is built.
-    pub fn overlapping(&self, extent: Extent) -> impl Iterator<Item = (Extent, ObjectId)> + '_ {
-        match &self.imp {
-            Impl::Bitmap(b) => Either::A(b.overlapping(extent)),
-            Impl::Reference(r) => Either::B(Box::new(r.overlapping(extent)) as BoxIter<'_, _>),
-        }
-    }
-
-    /// Marks `extent` as occupied by `owner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpaceError::Overlap`] if any word of `extent` is already
-    /// occupied, and [`SpaceError::EmptyExtent`] for zero-sized extents.
-    pub fn occupy(&mut self, owner: ObjectId, extent: Extent) -> Result<(), SpaceError> {
-        on!(mut self, s => s.occupy(owner, extent))
-    }
-
-    /// Releases the interval starting exactly at `start`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpaceError::NotOccupied`] if no interval starts at `start`.
-    pub fn release(&mut self, start: Addr) -> Result<(Extent, ObjectId), SpaceError> {
-        on!(mut self, s => s.release(start))
-    }
-
-    /// The object whose interval contains `addr`, if any.
-    pub fn object_at(&self, addr: Addr) -> Option<ObjectId> {
-        on!(self, s => s.object_at(addr))
-    }
-
-    /// One past the highest occupied word (0 when empty). O(1): cached
-    /// across [`occupy`](Self::occupy)/[`release`](Self::release).
-    pub fn frontier(&self) -> Addr {
-        on!(self, s => s.frontier())
-    }
-
-    /// The lowest occupied word, if any interval is stored.
-    pub fn lowest(&self) -> Option<Addr> {
-        on!(self, s => s.lowest())
-    }
-
-    /// Iterates over stored intervals in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Extent, ObjectId)> + '_ {
-        match &self.imp {
-            Impl::Bitmap(b) => Either::A(b.iter()),
-            Impl::Reference(r) => Either::B(Box::new(r.iter()) as BoxIter<'_, _>),
-        }
-    }
-
-    /// Iterates over the free gaps strictly between occupied intervals (it
-    /// does not report the unbounded free space above the frontier).
-    pub fn gaps(&self) -> impl Iterator<Item = Extent> + '_ {
-        match &self.imp {
-            Impl::Bitmap(b) => Either::A(b.gaps()),
-            Impl::Reference(r) => Either::B(Box::new(r.gaps()) as BoxIter<'_, _>),
-        }
-    }
-
-    /// Number of occupied words inside `window` (used for chunk-density
-    /// queries by the analysis and per cell by the heatmap): a masked
-    /// popcount on the bitmap substrate.
-    pub fn occupied_words_in(&self, window: Extent) -> Size {
-        on!(self, s => s.occupied_words_in(window))
-    }
-}
-
-type BoxIter<'a, T> = Box<dyn Iterator<Item = T> + 'a>;
-
-/// Two-substrate iterator dispatch: concrete scans on the bitmap side, a
-/// boxed chain on the (cold) reference side.
-enum Either<A, B> {
-    A(A),
-    B(B),
-}
-
-impl<A, B> Iterator for Either<A, B>
-where
-    A: Iterator,
-    B: Iterator<Item = A::Item>,
-{
-    type Item = A::Item;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Either::A(a) => a.next(),
-            Either::B(b) => b.next(),
-        }
-    }
-}
+pub use bitmap::{SpaceMap, SubstrateCounters};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::{Addr, Extent, Size};
+    use crate::error::SpaceError;
+    use crate::object::ObjectId;
 
     fn id(n: u64) -> ObjectId {
         ObjectId::from_raw(n)
     }
 
-    /// Runs a case against both substrates.
-    fn each(case: impl Fn(SpaceMap)) {
-        for s in Substrate::ALL {
-            case(SpaceMap::with_substrate(s));
-        }
-    }
-
     #[test]
     fn occupy_then_release_round_trips() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
-            assert_eq!(m.occupied_words(), Size::new(5));
-            let (e, o) = m.release(Addr::new(10)).unwrap();
-            assert_eq!(e, Extent::from_raw(10, 5));
-            assert_eq!(o, id(1));
-            assert!(m.is_empty());
-            assert_eq!(m.occupied_words(), Size::ZERO);
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
+        assert_eq!(m.occupied_words(), Size::new(5));
+        let (e, o) = m.release(Addr::new(10)).unwrap();
+        assert_eq!(e, Extent::from_raw(10, 5));
+        assert_eq!(o, id(1));
+        assert!(m.is_empty());
+        assert_eq!(m.occupied_words(), Size::ZERO);
     }
 
     #[test]
     fn overlap_is_rejected_in_all_positions() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(10, 10)).unwrap();
-            // left overlap, right overlap, containing, contained, exact
-            for ext in [
-                Extent::from_raw(5, 6),
-                Extent::from_raw(19, 5),
-                Extent::from_raw(5, 30),
-                Extent::from_raw(12, 3),
-                Extent::from_raw(10, 10),
-            ] {
-                assert!(m.occupy(id(2), ext).is_err(), "expected overlap for {ext}");
-            }
-            // touching neighbours are fine
-            m.occupy(id(3), Extent::from_raw(0, 10)).unwrap();
-            m.occupy(id(4), Extent::from_raw(20, 10)).unwrap();
-            assert_eq!(m.len(), 3);
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(10, 10)).unwrap();
+        // left overlap, right overlap, containing, contained, exact
+        for ext in [
+            Extent::from_raw(5, 6),
+            Extent::from_raw(19, 5),
+            Extent::from_raw(5, 30),
+            Extent::from_raw(12, 3),
+            Extent::from_raw(10, 10),
+        ] {
+            assert!(m.occupy(id(2), ext).is_err(), "expected overlap for {ext}");
+        }
+        // touching neighbours are fine
+        m.occupy(id(3), Extent::from_raw(0, 10)).unwrap();
+        m.occupy(id(4), Extent::from_raw(20, 10)).unwrap();
+        assert_eq!(m.len(), 3);
     }
 
     #[test]
     fn overlap_error_reports_the_holder() {
-        each(|mut m| {
-            m.occupy(id(7), Extent::from_raw(100, 30)).unwrap();
-            let err = m.occupy(id(8), Extent::from_raw(120, 50)).unwrap_err();
-            assert_eq!(
-                err,
-                SpaceError::Overlap {
-                    attempted: Extent::from_raw(120, 50),
-                    existing: Extent::from_raw(100, 30),
-                    holder: id(7),
-                }
-            );
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(7), Extent::from_raw(100, 30)).unwrap();
+        let err = m.occupy(id(8), Extent::from_raw(120, 50)).unwrap_err();
+        assert_eq!(
+            err,
+            SpaceError::Overlap {
+                attempted: Extent::from_raw(120, 50),
+                existing: Extent::from_raw(100, 30),
+                holder: id(7),
+            }
+        );
     }
 
     #[test]
     fn empty_extent_is_rejected() {
-        each(|mut m| {
-            assert!(matches!(
-                m.occupy(id(1), Extent::from_raw(0, 0)),
-                Err(SpaceError::EmptyExtent { .. })
-            ));
-        });
+        let mut m = SpaceMap::new();
+        assert!(matches!(
+            m.occupy(id(1), Extent::from_raw(0, 0)),
+            Err(SpaceError::EmptyExtent { .. })
+        ));
     }
 
     #[test]
     fn release_of_unknown_start_fails() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
-            // Address 12 is occupied but is not an interval start.
-            assert!(m.release(Addr::new(12)).is_err());
-            assert!(m.release(Addr::new(0)).is_err());
-            // Far beyond any mapped capacity.
-            assert!(m.release(Addr::new(1 << 20)).is_err());
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
+        // Address 12 is occupied but is not an interval start.
+        assert!(m.release(Addr::new(12)).is_err());
+        assert!(m.release(Addr::new(0)).is_err());
+        // Far beyond any mapped capacity.
+        assert!(m.release(Addr::new(1 << 20)).is_err());
     }
 
     #[test]
     fn object_at_finds_owner() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
-            m.occupy(id(2), Extent::from_raw(20, 1)).unwrap();
-            assert_eq!(m.object_at(Addr::new(10)), Some(id(1)));
-            assert_eq!(m.object_at(Addr::new(14)), Some(id(1)));
-            assert_eq!(m.object_at(Addr::new(15)), None);
-            assert_eq!(m.object_at(Addr::new(20)), Some(id(2)));
-            assert_eq!(m.object_at(Addr::new(21)), None);
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
+        m.occupy(id(2), Extent::from_raw(20, 1)).unwrap();
+        assert_eq!(m.object_at(Addr::new(10)), Some(id(1)));
+        assert_eq!(m.object_at(Addr::new(14)), Some(id(1)));
+        assert_eq!(m.object_at(Addr::new(15)), None);
+        assert_eq!(m.object_at(Addr::new(20)), Some(id(2)));
+        assert_eq!(m.object_at(Addr::new(21)), None);
     }
 
     #[test]
     fn frontier_and_lowest_track_extremes() {
-        each(|mut m| {
-            assert_eq!(m.frontier(), Addr::ZERO);
-            assert_eq!(m.lowest(), None);
-            m.occupy(id(1), Extent::from_raw(100, 10)).unwrap();
-            m.occupy(id(2), Extent::from_raw(5, 2)).unwrap();
-            assert_eq!(m.frontier(), Addr::new(110));
-            assert_eq!(m.lowest(), Some(Addr::new(5)));
-        });
+        let mut m = SpaceMap::new();
+        assert_eq!(m.frontier(), Addr::ZERO);
+        assert_eq!(m.lowest(), None);
+        m.occupy(id(1), Extent::from_raw(100, 10)).unwrap();
+        m.occupy(id(2), Extent::from_raw(5, 2)).unwrap();
+        assert_eq!(m.frontier(), Addr::new(110));
+        assert_eq!(m.lowest(), Some(Addr::new(5)));
     }
 
     #[test]
     fn frontier_recomputes_across_summary_blocks() {
-        each(|mut m| {
-            // Survivor far below, top object several summary blocks higher.
-            m.occupy(id(1), Extent::from_raw(3, 1)).unwrap();
-            m.occupy(id(2), Extent::from_raw(40_000, 16)).unwrap();
-            assert_eq!(m.frontier(), Addr::new(40_016));
-            m.release(Addr::new(40_000)).unwrap();
-            assert_eq!(m.frontier(), Addr::new(4));
-            m.release(Addr::new(3)).unwrap();
-            assert_eq!(m.frontier(), Addr::ZERO);
-        });
+        let mut m = SpaceMap::new();
+        // Survivor far below, top object several summary blocks higher.
+        m.occupy(id(1), Extent::from_raw(3, 1)).unwrap();
+        m.occupy(id(2), Extent::from_raw(40_000, 16)).unwrap();
+        assert_eq!(m.frontier(), Addr::new(40_016));
+        m.release(Addr::new(40_000)).unwrap();
+        assert_eq!(m.frontier(), Addr::new(4));
+        m.release(Addr::new(3)).unwrap();
+        assert_eq!(m.frontier(), Addr::ZERO);
     }
 
     #[test]
     fn gaps_reports_interior_holes_only() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
-            m.occupy(id(2), Extent::from_raw(8, 2)).unwrap();
-            m.occupy(id(3), Extent::from_raw(10, 6)).unwrap();
-            let gaps: Vec<_> = m.gaps().collect();
-            assert_eq!(gaps, vec![Extent::from_raw(4, 4)]);
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
+        m.occupy(id(2), Extent::from_raw(8, 2)).unwrap();
+        m.occupy(id(3), Extent::from_raw(10, 6)).unwrap();
+        let gaps: Vec<_> = m.gaps().collect();
+        assert_eq!(gaps, vec![Extent::from_raw(4, 4)]);
     }
 
     #[test]
     fn gaps_cross_word_and_block_boundaries() {
-        each(|mut m| {
-            // Hole [60, 70) straddles a word boundary; hole [100, 4200)
-            // spans a full summary block.
-            m.occupy(id(1), Extent::from_raw(50, 10)).unwrap();
-            m.occupy(id(2), Extent::from_raw(70, 30)).unwrap();
-            m.occupy(id(3), Extent::from_raw(4200, 8)).unwrap();
-            let gaps: Vec<_> = m.gaps().collect();
-            assert_eq!(
-                gaps,
-                vec![Extent::from_raw(60, 10), Extent::from_raw(100, 4100)]
-            );
-        });
+        let mut m = SpaceMap::new();
+        // Hole [60, 70) straddles a word boundary; hole [100, 4200)
+        // spans a full summary block.
+        m.occupy(id(1), Extent::from_raw(50, 10)).unwrap();
+        m.occupy(id(2), Extent::from_raw(70, 30)).unwrap();
+        m.occupy(id(3), Extent::from_raw(4200, 8)).unwrap();
+        let gaps: Vec<_> = m.gaps().collect();
+        assert_eq!(
+            gaps,
+            vec![Extent::from_raw(60, 10), Extent::from_raw(100, 4100)]
+        );
     }
 
     #[test]
     fn occupied_words_in_window() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
-            m.occupy(id(2), Extent::from_raw(6, 4)).unwrap();
-            // window [2, 8) sees words 2,3 of o1 and 6,7 of o2
-            assert_eq!(m.occupied_words_in(Extent::from_raw(2, 6)), Size::new(4));
-            assert_eq!(m.occupied_words_in(Extent::from_raw(4, 2)), Size::ZERO);
-            assert_eq!(m.occupied_words_in(Extent::from_raw(0, 10)), Size::new(8));
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
+        m.occupy(id(2), Extent::from_raw(6, 4)).unwrap();
+        // window [2, 8) sees words 2,3 of o1 and 6,7 of o2
+        assert_eq!(m.occupied_words_in(Extent::from_raw(2, 6)), Size::new(4));
+        assert_eq!(m.occupied_words_in(Extent::from_raw(4, 2)), Size::ZERO);
+        assert_eq!(m.occupied_words_in(Extent::from_raw(0, 10)), Size::new(8));
     }
 
     #[test]
     fn occupied_words_in_unaligned_windows_over_large_spans() {
-        each(|mut m| {
-            // One object per summary block, windows cut mid-object.
-            for i in 0..4u64 {
-                m.occupy(id(i), Extent::from_raw(i * 5000, 100)).unwrap();
-            }
-            assert_eq!(
-                m.occupied_words_in(Extent::from_raw(0, 20_000)),
-                Size::new(400)
-            );
-            // [50, 5050): the top 50 words of the first object and the
-            // bottom 50 of the second.
-            assert_eq!(
-                m.occupied_words_in(Extent::from_raw(50, 5000)),
-                Size::new(100)
-            );
-            assert_eq!(m.occupied_words_in(Extent::from_raw(4999, 2)), Size::new(1));
-        });
+        let mut m = SpaceMap::new();
+        // One object per summary block, windows cut mid-object.
+        for i in 0..4u64 {
+            m.occupy(id(i), Extent::from_raw(i * 5000, 100)).unwrap();
+        }
+        assert_eq!(
+            m.occupied_words_in(Extent::from_raw(0, 20_000)),
+            Size::new(400)
+        );
+        // [50, 5050): the top 50 words of the first object and the
+        // bottom 50 of the second.
+        assert_eq!(
+            m.occupied_words_in(Extent::from_raw(50, 5000)),
+            Size::new(100)
+        );
+        assert_eq!(m.occupied_words_in(Extent::from_raw(4999, 2)), Size::new(1));
     }
 
     #[test]
     fn overlapping_lists_in_address_order() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
-            m.occupy(id(2), Extent::from_raw(6, 4)).unwrap();
-            m.occupy(id(3), Extent::from_raw(12, 4)).unwrap();
-            let hits: Vec<_> = m.overlapping(Extent::from_raw(2, 12)).collect();
-            assert_eq!(
-                hits.iter().map(|&(_, o)| o).collect::<Vec<_>>(),
-                vec![id(1), id(2), id(3)]
-            );
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(0, 4)).unwrap();
+        m.occupy(id(2), Extent::from_raw(6, 4)).unwrap();
+        m.occupy(id(3), Extent::from_raw(12, 4)).unwrap();
+        let hits: Vec<_> = m.overlapping(Extent::from_raw(2, 12)).collect();
+        assert_eq!(
+            hits.iter().map(|&(_, o)| o).collect::<Vec<_>>(),
+            vec![id(1), id(2), id(3)]
+        );
     }
 
     #[test]
     fn overlapping_handles_containers_and_exact_starts() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(0, 100)).unwrap();
-            // Window strictly inside the single container.
-            let hits: Vec<_> = m.overlapping(Extent::from_raw(40, 10)).collect();
-            assert_eq!(hits, vec![(Extent::from_raw(0, 100), id(1))]);
-            // Window starting exactly at an interval start is not doubled.
-            let hits: Vec<_> = m.overlapping(Extent::from_raw(0, 100)).collect();
-            assert_eq!(hits.len(), 1);
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(0, 100)).unwrap();
+        // Window strictly inside the single container.
+        let hits: Vec<_> = m.overlapping(Extent::from_raw(40, 10)).collect();
+        assert_eq!(hits, vec![(Extent::from_raw(0, 100), id(1))]);
+        // Window starting exactly at an interval start is not doubled.
+        let hits: Vec<_> = m.overlapping(Extent::from_raw(0, 100)).collect();
+        assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn iter_is_in_address_order() {
-        each(|mut m| {
-            m.occupy(id(2), Extent::from_raw(64, 64)).unwrap();
-            m.occupy(id(1), Extent::from_raw(0, 32)).unwrap();
-            m.occupy(id(3), Extent::from_raw(10_000, 1)).unwrap();
-            let order: Vec<_> = m.iter().map(|(_, o)| o).collect();
-            assert_eq!(order, vec![id(1), id(2), id(3)]);
-        });
-    }
-
-    #[test]
-    fn substrates_parse_and_display() {
-        assert_eq!("bitmap".parse::<Substrate>(), Ok(Substrate::Bitmap));
-        assert_eq!("reference".parse::<Substrate>(), Ok(Substrate::Reference));
-        assert_eq!("btreemap".parse::<Substrate>(), Ok(Substrate::Reference));
-        assert!("interval-tree".parse::<Substrate>().is_err());
-        for s in Substrate::ALL {
-            assert_eq!(s.name().parse::<Substrate>(), Ok(s));
-            assert_eq!(s.to_string(), s.name());
-        }
-    }
-
-    #[test]
-    fn with_substrate_is_explicit() {
-        for s in Substrate::ALL {
-            assert_eq!(SpaceMap::with_substrate(s).substrate(), s);
-        }
-        // Only the bitmap substrate exposes counters.
-        assert!(SpaceMap::with_substrate(Substrate::Bitmap)
-            .counters()
-            .is_some());
-        assert!(SpaceMap::with_substrate(Substrate::Reference)
-            .counters()
-            .is_none());
+        let mut m = SpaceMap::new();
+        m.occupy(id(2), Extent::from_raw(64, 64)).unwrap();
+        m.occupy(id(1), Extent::from_raw(0, 32)).unwrap();
+        m.occupy(id(3), Extent::from_raw(10_000, 1)).unwrap();
+        let order: Vec<_> = m.iter().map(|(_, o)| o).collect();
+        assert_eq!(order, vec![id(1), id(2), id(3)]);
     }
 
     #[test]
     fn bitmap_counters_move() {
-        let mut m = SpaceMap::with_substrate(Substrate::Bitmap);
+        let mut m = SpaceMap::new();
         m.occupy(id(1), Extent::from_raw(0, 70)).unwrap();
         m.release(Addr::new(0)).unwrap();
         m.occupy(id(2), Extent::from_raw(128, 1)).unwrap();
@@ -573,13 +234,12 @@ mod tests {
 
     #[test]
     fn clone_is_independent() {
-        each(|mut m| {
-            m.occupy(id(1), Extent::from_raw(0, 8)).unwrap();
-            let mut copy = m.clone();
-            copy.release(Addr::new(0)).unwrap();
-            copy.occupy(id(2), Extent::from_raw(4, 8)).unwrap();
-            assert_eq!(m.object_at(Addr::new(4)), Some(id(1)));
-            assert_eq!(copy.object_at(Addr::new(4)), Some(id(2)));
-        });
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(0, 8)).unwrap();
+        let mut copy = m.clone();
+        copy.release(Addr::new(0)).unwrap();
+        copy.occupy(id(2), Extent::from_raw(4, 8)).unwrap();
+        assert_eq!(m.object_at(Addr::new(4)), Some(id(1)));
+        assert_eq!(copy.object_at(Addr::new(4)), Some(id(2)));
     }
 }

@@ -1,14 +1,15 @@
-//! Lockstep substrate equivalence: random occupy/release/relocate/query
-//! sequences are driven through the bitmap substrate and the `BTreeMap`
-//! reference oracle simultaneously, asserting that the full state and
-//! every query answer — including every error — are identical at every
-//! step. This is the ground-truth argument for swapping the substrate:
-//! any divergence, however small, fails here before it can bias a
-//! simulation result.
+//! Lockstep referee equivalence: random occupy/release/relocate/query
+//! sequences are driven through the bitmap [`SpaceMap`] and the seed
+//! `BTreeMap` [`ReferenceSpace`] simultaneously, asserting that the full
+//! state and every query answer — including every error — are identical
+//! at every step. This is the ground-truth argument for the bitmap: any
+//! divergence, however small, fails here before it can bias a simulation
+//! result.
 
 use proptest::prelude::*;
 
-use pcb_heap::{Addr, Extent, Heap, ObjectId, Size, SpaceMap, Substrate};
+use pcb_heap::reference::ReferenceSpace;
+use pcb_heap::{Addr, Extent, Heap, HeapError, ObjectId, Size, SpaceMap};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -44,22 +45,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn pair() -> (SpaceMap, SpaceMap) {
-    (
-        SpaceMap::with_substrate(Substrate::Bitmap),
-        SpaceMap::with_substrate(Substrate::Reference),
-    )
-}
-
 // Every mutation result, every aggregate, and every window query must be
-// identical between substrates after every single operation.
+// identical between the two maps after every single operation.
 proptest! {
     #[test]
     fn space_maps_answer_identically(
         ops in proptest::collection::vec(op_strategy(), 1..150),
         probes in proptest::collection::vec((0u64..13_000, 0u64..600), 1..10),
     ) {
-        let (mut bit, mut oracle) = pair();
+        let (mut bit, mut oracle) = (SpaceMap::new(), ReferenceSpace::new());
         let mut live_starts: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
         for op in ops {
@@ -136,9 +130,10 @@ proptest! {
         }
     }
 
-    // Heap-level lockstep: place/free/relocate through full `Heap`s on
-    // each substrate, agreeing on every result, error, and accounting
-    // figure (budget included).
+    // Heap-level lockstep: place/free/relocate through a full `Heap` while
+    // a reference map shadows every occupy/release the heap performs on
+    // its referee, rollbacks included. Both must agree on every result,
+    // every error and the whole occupancy state.
     #[test]
     fn heaps_answer_identically(
         ops in proptest::collection::vec(
@@ -146,52 +141,66 @@ proptest! {
             1..120,
         ),
     ) {
-        let mut bit = Heap::new(4).with_substrate(Substrate::Bitmap);
-        let mut oracle = Heap::new(4).with_substrate(Substrate::Reference);
+        let mut heap = Heap::new(4);
+        let mut oracle = ReferenceSpace::new();
         let mut live: Vec<ObjectId> = Vec::new();
         for (start, len, relocate, dest) in ops {
-            // fresh_id draws must stay in lockstep too.
-            let id = bit.fresh_id();
-            prop_assert_eq!(id, oracle.fresh_id());
-            let got = bit.place(id, Addr::new(start), Size::new(len));
-            let want = oracle.place(id, Addr::new(start), Size::new(len));
-            prop_assert_eq!(&got, &want, "place {} diverged", id);
-            if got.is_ok() {
-                live.push(id);
+            let id = heap.fresh_id();
+            let got = heap.place(id, Addr::new(start), Size::new(len));
+            match &got {
+                Ok(()) => {
+                    let want = oracle.occupy(id, Extent::from_raw(start, len));
+                    prop_assert!(want.is_ok(), "place {} diverged: {:?}", id, want);
+                    live.push(id);
+                }
+                Err(HeapError::Space(e)) => {
+                    let want = oracle.occupy(id, Extent::from_raw(start, len));
+                    prop_assert_eq!(Err(e.clone()), want, "place {} diverged", id);
+                }
+                Err(_) => {}
             }
             if relocate && !live.is_empty() {
                 let target = live[(start as usize) % live.len()];
-                let got = bit.relocate(target, Addr::new(dest));
-                let want = oracle.relocate(target, Addr::new(dest));
-                prop_assert_eq!(&got, &want, "relocate {} diverged", target);
+                let from = heap.record(target).expect("live").extent();
+                let to = Extent::new(Addr::new(dest), from.size());
+                match heap.relocate(target, to.start()) {
+                    Ok(_) if to.start() != from.start() => {
+                        prop_assert_eq!(oracle.release(from.start()), Ok((from, target)));
+                        prop_assert_eq!(oracle.occupy(target, to), Ok(()));
+                    }
+                    Err(HeapError::Space(e)) => {
+                        prop_assert_eq!(oracle.release(from.start()), Ok((from, target)));
+                        prop_assert_eq!(oracle.occupy(target, to), Err(e));
+                        prop_assert_eq!(oracle.occupy(target, from), Ok(()));
+                    }
+                    _ => {}
+                }
             }
             if len % 3 == 0 && !live.is_empty() {
                 let victim = live.remove((dest as usize) % live.len());
-                let got = bit.free(victim);
-                let want = oracle.free(victim);
-                prop_assert_eq!(&got, &want, "free {} diverged", victim);
+                let (addr, size) = heap.free(victim).expect("live object frees");
+                prop_assert_eq!(
+                    oracle.release(addr),
+                    Ok((Extent::new(addr, size), victim)),
+                    "free {} diverged",
+                    victim
+                );
             }
-            prop_assert_eq!(bit.live_words(), oracle.live_words());
-            prop_assert_eq!(bit.live_count(), oracle.live_count());
-            prop_assert_eq!(bit.peak_live(), oracle.peak_live());
-            prop_assert_eq!(bit.heap_size(), oracle.heap_size());
-            prop_assert_eq!(
-                bit.budget().allocated_total(),
-                oracle.budget().allocated_total()
-            );
-            prop_assert_eq!(bit.budget().moved_total(), oracle.budget().moved_total());
+            let space = heap.space();
+            prop_assert_eq!(space.len(), oracle.len());
+            prop_assert_eq!(space.occupied_words(), oracle.occupied_words());
+            prop_assert_eq!(heap.live_words(), oracle.occupied_words());
+            prop_assert_eq!(space.frontier(), oracle.frontier());
+            prop_assert_eq!(space.lowest(), oracle.lowest());
             for probe in [start, dest, start + len] {
                 prop_assert_eq!(
-                    bit.space().object_at(Addr::new(probe)),
-                    oracle.space().object_at(Addr::new(probe))
+                    space.object_at(Addr::new(probe)),
+                    oracle.object_at(Addr::new(probe))
                 );
             }
         }
-        // Final object records agree (address order).
-        let mut bit_objs: Vec<_> = bit.live_objects().copied().collect();
-        let mut oracle_objs: Vec<_> = oracle.live_objects().copied().collect();
-        bit_objs.sort_by_key(|r| r.addr());
-        oracle_objs.sort_by_key(|r| r.addr());
-        prop_assert_eq!(bit_objs, oracle_objs);
+        let space: Vec<_> = heap.space().iter().collect();
+        let oracle: Vec<_> = oracle.iter().collect();
+        prop_assert_eq!(space, oracle);
     }
 }
