@@ -5,7 +5,7 @@
 //! allocation* discipline the paper's Section 3 overview reasons about
 //! (an object of size `2^i` lands on an address divisible by `2^i`).
 //!
-//! The free-block index keeps one open-addressed `addr -> order` map
+//! The free-block index keeps one dense `addr -> order` table
 //! (free-block starts are unique across orders), per-order lazily-cleaned
 //! min-heaps, and a nonempty-order bitmask, making buddy-merge probes and
 //! block selection O(1). The seed per-order `BTreeSet<u64>` survives only
@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 
 use pcb_heap::{Addr, AllocRequest, HeapOps, MemoryManager, ObjectId, PlacementError, Size};
 
-use crate::indexed::AddrMap;
+use crate::indexed::AddrTable;
 
 /// How the buddy allocator picks among free blocks large enough to serve a
 /// request.
@@ -33,11 +33,11 @@ pub enum BuddySelect {
     LowestAddr,
 }
 
-/// Per-order free-block index: an `addr -> order` map plus per-order
-/// lazy min-heaps and a nonempty-order bitmask.
+/// Per-order free-block index: an `addr -> order + 1` table plus
+/// per-order lazy min-heaps and a nonempty-order bitmask.
 #[derive(Debug, Clone)]
 struct FreeIndex {
-    map: AddrMap,
+    map: AddrTable,
     heaps: Vec<BinaryHeap<Reverse<u64>>>,
     counts: Vec<u32>,
     mask: u64,
@@ -46,7 +46,7 @@ struct FreeIndex {
 impl FreeIndex {
     fn new(orders: usize) -> Self {
         FreeIndex {
-            map: AddrMap::default(),
+            map: AddrTable::default(),
             heaps: (0..orders).map(|_| BinaryHeap::new()).collect(),
             counts: vec![0; orders],
             mask: 0,
@@ -54,7 +54,7 @@ impl FreeIndex {
     }
 
     fn insert(&mut self, order: u32, addr: u64) {
-        self.map.insert(addr, u64::from(order));
+        self.map.insert(addr, order + 1);
         self.heaps[order as usize].push(Reverse(addr));
         self.counts[order as usize] += 1;
         self.mask |= 1 << order;
@@ -63,7 +63,7 @@ impl FreeIndex {
     /// Removes `(order, addr)` if it is a free block; returns whether it
     /// was (the buddy-merge probe).
     fn remove_if_free(&mut self, order: u32, addr: u64) -> bool {
-        if self.map.get(addr) != Some(u64::from(order)) {
+        if self.map.get(addr) != Some(order + 1) {
             return false;
         }
         self.map.remove(addr);
@@ -84,7 +84,7 @@ impl FreeIndex {
     fn min_at(&mut self, order: u32) -> Option<u64> {
         let heap = &mut self.heaps[order as usize];
         while let Some(&Reverse(addr)) = heap.peek() {
-            if self.map.get(addr) == Some(u64::from(order)) {
+            if self.map.get(addr) == Some(order + 1) {
                 return Some(addr);
             }
             heap.pop();

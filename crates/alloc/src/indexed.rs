@@ -8,20 +8,23 @@
 //! The address space is unbounded above: everything at or beyond the
 //! *frontier* is free. Gaps below the frontier are kept disjoint,
 //! non-empty, and fully coalesced (no two adjacent gaps, no gap touching
-//! the frontier).
+//! the frontier). Gap starts and lengths must stay below 2^32 words, the
+//! referee's own cap; the index panics past it.
 //!
 //! The seed index, [`ReferenceFreeSpace`](crate::reference::ReferenceFreeSpace),
 //! keeps a `BTreeMap` keyed by gap start plus a `BTreeSet` keyed by
 //! `(len, start)`; every hot operation pays a tree walk and a rebalance.
 //! This module answers the same queries from flat structures:
 //!
-//! * [`AddrMap`] — an open-addressed `u64 -> u64` hash (fibonacci
-//!   hashing, linear probing, backward-shift deletion) used twice: gap
-//!   start → length and gap end → start. Coalescing becomes two O(1)
-//!   lookups instead of two tree probes.
+//! * [`AddrTable`] — a paged array indexed directly by gap start, giving
+//!   start → length in one read. Heap addresses are dense and capped at
+//!   2^32 words (the referee's own limit), so no hashing is needed. Gap
+//!   ends have no table of their own: the gap ending at `a` is the
+//!   [`StartBits`] predecessor of `a`, confirmed by its length.
 //! * [`StartBits`] — a three-level hierarchical bitmap over gap start
 //!   addresses giving predecessor/successor/iteration in a handful of
-//!   word operations (the same trick PR 5 used for the heap substrate).
+//!   word operations (the same layout as the heap substrate's summary
+//!   bitmap).
 //! * exact size classes `1..=SMALL_MAX` — per-class lazily-cleaned
 //!   min-heaps of starts plus a nonempty bitmap, so first/best/worst fit
 //!   are popcount scans; gaps larger than [`SMALL_MAX`] go to a small
@@ -45,27 +48,32 @@ const SMALL_MAX: u64 = 256;
 /// Words in the class-nonempty bitmap (bit `len - 1` for class `len`).
 const CLASS_WORDS: usize = (SMALL_MAX as usize).div_ceil(64);
 
-/// Sentinel for an empty [`AddrMap`] slot. Gap starts and ends are
-/// strictly below the frontier, so `u64::MAX` is never a real key.
-const EMPTY: u64 = u64::MAX;
+/// Keys per [`AddrTable`] page.
+const TABLE_PAGE: usize = 1 << 12;
 
-/// Open-addressed `u64 -> u64` map: fibonacci hashing, linear probing,
-/// backward-shift deletion, load factor ≤ 1/2. Lookup order is never
-/// observable (the map is only probed by key), so it cannot perturb
-/// placement decisions.
+/// Keys are heap addresses (or indexes derived from them), capped like
+/// the referee's occupancy map.
+const MAX_KEY: u64 = 1 << 32;
+
+/// Direct-indexed `u64 -> u32` table over heap addresses: value 0 means
+/// absent, so stored values must be non-zero. Keys are dense and bounded,
+/// so a lookup is one array read instead of a hash probe; pages of
+/// [`TABLE_PAGE`] entries are allocated on first write, so sparse high
+/// keys cost one page, not the whole range below them.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AddrMap {
-    keys: Vec<u64>,
-    vals: Vec<u64>,
+pub(crate) struct AddrTable {
+    pages: Vec<Option<Box<[u32; TABLE_PAGE]>>>,
     len: usize,
-    /// `64 - log2(capacity)`; meaningless while empty.
-    shift: u32,
 }
 
-impl AddrMap {
+impl AddrTable {
+    /// The page and the entry within it that hold `key`.
     #[inline]
-    pub(crate) fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    fn locate(key: u64) -> (usize, usize) {
+        (
+            (key / TABLE_PAGE as u64) as usize,
+            key as usize % TABLE_PAGE,
+        )
     }
 
     #[inline]
@@ -74,116 +82,59 @@ impl AddrMap {
     }
 
     #[inline]
-    pub(crate) fn get(&self, key: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(self.vals[i]);
-            }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
+    pub(crate) fn get(&self, key: u64) -> Option<u32> {
+        let (page, slot) = Self::locate(key);
+        let val = self.pages.get(page)?.as_ref()?[slot];
+        (val != 0).then_some(val)
     }
 
-    pub(crate) fn insert(&mut self, key: u64, val: u64) {
-        debug_assert_ne!(key, EMPTY, "sentinel key");
-        if self.keys.is_empty() || (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
+    /// Stores `val` (non-zero) at `key`, replacing any previous value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is 2^32 or more.
+    pub(crate) fn insert(&mut self, key: u64, val: u32) {
+        debug_assert_ne!(val, 0, "0 marks an absent key");
+        assert!(
+            key < MAX_KEY,
+            "the occupancy map caps the address space at 2^32 words \
+             (manager table key {key})"
+        );
+        let (page, slot) = Self::locate(key);
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, None);
         }
-        let mask = self.keys.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.vals[i] = val;
-                return;
-            }
-            if k == EMPTY {
-                self.keys[i] = key;
-                self.vals[i] = val;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
+        let entry = &mut self.pages[page].get_or_insert_with(|| Box::new([0; TABLE_PAGE]))[slot];
+        self.len += usize::from(*entry == 0);
+        *entry = val;
     }
 
-    pub(crate) fn remove(&mut self, key: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                break;
-            }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-        let val = self.vals[i];
-        self.len -= 1;
-        // Backward-shift deletion keeps probe chains gap-free without
-        // tombstones: pull each displaced follower into the hole unless
-        // its home lies strictly inside (hole, j].
-        let mut hole = i;
-        let mut j = (i + 1) & mask;
-        while self.keys[j] != EMPTY {
-            let home = self.home(self.keys[j]);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.keys[hole] = self.keys[j];
-                self.vals[hole] = self.vals[j];
-                hole = j;
-            }
-            j = (j + 1) & mask;
-        }
-        self.keys[hole] = EMPTY;
-        Some(val)
+    pub(crate) fn remove(&mut self, key: u64) -> Option<u32> {
+        let (page, slot) = Self::locate(key);
+        let val = std::mem::take(&mut self.pages.get_mut(page)?.as_mut()?[slot]);
+        self.len -= usize::from(val != 0);
+        (val != 0).then_some(val)
     }
 
-    fn grow(&mut self) {
-        let cap = (self.keys.len() * 2).max(16);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; cap]);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.vals = vec![0; cap];
-        self.shift = 64 - cap.trailing_zeros();
-        self.len = 0;
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                let mask = cap - 1;
-                let mut i = self.home(k);
-                while self.keys[i] != EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.keys[i] = k;
-                self.vals[i] = v;
-                self.len += 1;
-            }
-        }
-    }
-
+    /// Empties the table, keeping its pages for reuse.
     pub(crate) fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
+        if self.len > 0 {
+            self.pages.iter_mut().flatten().for_each(|p| p.fill(0));
+            self.len = 0;
+        }
     }
 
-    /// All `(key, value)` pairs, in table (not key) order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
+    /// All `(key, value)` pairs, in key order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.pages.iter().enumerate().flat_map(|(p, page)| {
+            page.iter().flat_map(move |page| {
+                page.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0)
+                    .map(move |(i, &v)| ((p * TABLE_PAGE + i) as u64, v))
+            })
+        })
     }
 }
 
@@ -350,7 +301,7 @@ impl StartBits {
 #[derive(Debug, Clone)]
 pub struct FreeSpace {
     /// start -> length, gaps strictly below the frontier.
-    by_start: AddrMap,
+    by_start: AddrTable,
     /// One bit per gap start, for ordered iteration and pred/succ.
     bits: StartBits,
     /// Lazily-cleaned min-heaps of starts, indexed by exact length.
@@ -372,7 +323,7 @@ pub struct FreeSpace {
 impl Default for FreeSpace {
     fn default() -> Self {
         Self {
-            by_start: AddrMap::default(),
+            by_start: AddrTable::default(),
             bits: StartBits::default(),
             classes: (0..=SMALL_MAX).map(|_| BinaryHeap::new()).collect(),
             counts: vec![0; SMALL_MAX as usize + 1],
@@ -429,19 +380,18 @@ impl FreeSpace {
     }
 
     /// The start of the gap ending exactly at `end`, if any: the
-    /// predecessor start below `end` plus a length check. Replaces a
-    /// dedicated end-keyed hash map — the bitmap predecessor probe is
-    /// comparable on lookup and free on every insert/remove.
+    /// predecessor start below `end` plus a length check. No end-keyed
+    /// table is kept: the bitmap predecessor probe is comparable on
+    /// lookup and free on every insert/remove.
     fn gap_end_lookup(&self, end: u64) -> Option<u64> {
         let start = self.bits.pred(end)?;
-        let len = self.by_start.get(start).expect("bit set implies gap");
+        let len = self.gap_len(start).expect("bit set implies gap");
         (start + len == end).then_some(start)
     }
 
     /// The gap starting exactly at `addr`, if any.
     pub fn gap_starting_at(&self, addr: Addr) -> Option<Extent> {
-        self.by_start
-            .get(addr.get())
+        self.gap_len(addr.get())
             .map(|l| Extent::from_raw(addr.get(), l))
     }
 
@@ -451,17 +401,24 @@ impl FreeSpace {
         (addr.get() < start + len).then(|| Extent::from_raw(start, len))
     }
 
+    /// Length of the gap starting exactly at `start`, if any.
+    #[inline]
+    fn gap_len(&self, start: u64) -> Option<u64> {
+        self.by_start.get(start).map(u64::from)
+    }
+
     /// The gap with the highest start at or below `at`, if any.
     fn gap_at_or_before(&self, at: u64) -> Option<(u64, u64)> {
         let start = self.bits.pred(at.saturating_add(1))?;
-        let len = self.by_start.get(start).expect("bit set implies gap");
+        let len = self.gap_len(start).expect("bit set implies gap");
         Some((start, len))
     }
 
     fn gap_insert(&mut self, start: u64, len: u64) {
         debug_assert!(len > 0);
         debug_assert!(start + len <= self.frontier);
-        self.by_start.insert(start, len);
+        let stored = u32::try_from(len).expect("gap lengths stay below 2^32 words");
+        self.by_start.insert(start, stored);
         self.bits.set(start);
         if len <= SMALL_MAX {
             let idx = len as usize;
@@ -479,6 +436,7 @@ impl FreeSpace {
         let len = self
             .by_start
             .remove(start)
+            .map(u64::from)
             .expect("gap exists when removed");
         self.bits.clear(start);
         if len <= SMALL_MAX {
@@ -508,7 +466,7 @@ impl FreeSpace {
         let mut starts = std::mem::take(&mut self.classes[idx]).into_vec();
         starts.sort_unstable_by_key(|&Reverse(s)| s);
         starts.dedup();
-        starts.retain(|&Reverse(s)| self.by_start.get(s) == Some(idx as u64));
+        starts.retain(|&Reverse(s)| self.gap_len(s) == Some(idx as u64));
         self.classes[idx] = BinaryHeap::from(starts);
     }
 
@@ -518,7 +476,7 @@ impl FreeSpace {
     fn class_min(&mut self, len: u64) -> Option<u64> {
         let heap = &mut self.classes[len as usize];
         while let Some(&Reverse(start)) = heap.peek() {
-            if self.by_start.get(start) == Some(len) {
+            if self.by_start.get(start) == Some(len as u32) {
                 return Some(start);
             }
             heap.pop();
@@ -592,7 +550,7 @@ impl FreeSpace {
             let Some(start) = cur else {
                 return None; // no gap left can fit
             };
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.gap_len(start).expect("bit set implies gap");
             if len >= s {
                 return Some(start);
             }
@@ -736,7 +694,7 @@ impl FreeSpace {
         };
         match pick {
             Some(start) => {
-                let gap_len = self.by_start.get(start);
+                let gap_len = self.gap_len(start);
                 (self.carve(start, s), TakeStats { probes, gap_len })
             }
             None => (
@@ -779,7 +737,7 @@ impl FreeSpace {
             if let Some(p) = probes.as_deref_mut() {
                 *p += 1;
             }
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.gap_len(start).expect("bit set implies gap");
             if len >= s {
                 return Some(start);
             }
@@ -793,7 +751,7 @@ impl FreeSpace {
             if let Some(p) = probes.as_deref_mut() {
                 *p += 1;
             }
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.gap_len(start).expect("bit set implies gap");
             if len >= s {
                 return Some(start);
             }
@@ -844,7 +802,7 @@ impl FreeSpace {
         };
         let (addr, gap_len) = match found {
             Some(start) => {
-                let gap_len = self.by_start.get(start);
+                let gap_len = self.gap_len(start);
                 (self.carve(start, s), gap_len)
             }
             None => (self.take_frontier(s), None),
@@ -871,7 +829,7 @@ impl FreeSpace {
         let mut found = None;
         let mut cur = self.pick_first(s);
         while let Some(start) = cur {
-            let len = self.by_start.get(start).expect("bit set implies gap");
+            let len = self.gap_len(start).expect("bit set implies gap");
             let a = Addr::new(start).align_up(align).get();
             if a + s <= start + len {
                 found = Some((start, a));
@@ -968,7 +926,7 @@ impl FreeSpace {
             gap_start = pstart;
             merges += 1;
         }
-        if self.by_start.get(at + len).is_some() {
+        if self.gap_len(at + len).is_some() {
             gap_len += self.gap_remove(at + len);
             merges += 1;
         }
@@ -993,8 +951,8 @@ impl FreeSpace {
     fn coalesce_around(&mut self, at: u64) {
         let mut merges = 0u64;
         let mut start = at;
-        let mut len = self.by_start.get(at).expect("gap just inserted");
-        // Merge with the predecessor: O(1) via the end index.
+        let mut len = self.gap_len(at).expect("gap just inserted");
+        // Merge with the predecessor: a start-bitmap predecessor probe.
         if let Some(pstart) = self.gap_end_lookup(start) {
             let plen = self.gap_remove(pstart);
             self.gap_remove(start);
@@ -1003,8 +961,8 @@ impl FreeSpace {
             self.gap_insert(start, len);
             merges += 1;
         }
-        // Merge with the successor: O(1) via the start index.
-        if self.by_start.get(start + len).is_some() {
+        // Merge with the successor: one start-table read.
+        if self.gap_len(start + len).is_some() {
             self.gap_remove(start);
             let nlen = self.gap_remove(start + len);
             len += nlen;
@@ -1058,7 +1016,7 @@ impl FreeSpace {
         let mut big = 0usize;
         let mut cur = self.bits.succ(0);
         while let Some(start) = cur {
-            let Some(len) = self.by_start.get(start) else {
+            let Some(len) = self.gap_len(start) else {
                 return Err(format!("start bit set at {start} without a gap"));
             };
             if len == 0 {
@@ -1143,7 +1101,7 @@ impl Iterator for Gaps<'_> {
 
     fn next(&mut self) -> Option<Extent> {
         let start = self.next?;
-        let len = self.fs.by_start.get(start).expect("bit set implies gap");
+        let len = self.fs.gap_len(start).expect("bit set implies gap");
         self.next = self.fs.bits.succ(start + 1);
         Some(Extent::from_raw(start, len))
     }
@@ -1154,40 +1112,115 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_map_insert_get_remove() {
-        let mut m = AddrMap::default();
-        assert_eq!(m.get(0), None);
-        for i in 0..1000u64 {
-            m.insert(i * 7, i);
+    fn addr_table_keys_straddle_a_page_boundary() {
+        let mut t = AddrTable::default();
+        assert_eq!(t.get(0), None);
+        for (i, key) in [4095u64, 4096, 4097].into_iter().enumerate() {
+            t.insert(key, i as u32 + 1);
         }
-        assert_eq!(m.len(), 1000);
-        for i in 0..1000u64 {
-            assert_eq!(m.get(i * 7), Some(i));
-        }
-        assert_eq!(m.get(1), None);
-        for i in (0..1000u64).step_by(2) {
-            assert_eq!(m.remove(i * 7), Some(i));
-        }
-        assert_eq!(m.len(), 500);
-        for i in 0..1000u64 {
-            let want = (i % 2 == 1).then_some(i);
-            assert_eq!(m.get(i * 7), want, "key {}", i * 7);
-        }
-        assert_eq!(m.remove(2), None);
-        m.insert(0, 42);
-        assert_eq!(m.get(0), Some(42));
-        m.clear();
-        assert_eq!(m.len(), 0);
-        assert_eq!(m.get(0), None);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(4095), Some(1));
+        assert_eq!(t.get(4096), Some(2));
+        assert_eq!(t.get(4097), Some(3));
+        assert_eq!(t.get(4094), None);
+        assert_eq!(t.get(4098), None);
+        assert_eq!(t.remove(4096), Some(2));
+        assert_eq!(t.get(4096), None);
+        assert_eq!(t.get(4095), Some(1));
+        assert_eq!(t.get(4097), Some(3));
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
-    fn addr_map_overwrites() {
-        let mut m = AddrMap::default();
-        m.insert(5, 1);
-        m.insert(5, 2);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(5), Some(2));
+    fn addr_table_overwrites_and_tracks_len() {
+        let mut t = AddrTable::default();
+        t.insert(5, 1);
+        t.insert(5, 2);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(5), Some(2));
+        t.insert(9, 7);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.remove(5), Some(2));
+        assert_eq!(t.remove(5), None);
+        assert_eq!(t.len(), 1);
+        t.clear();
+        assert_eq!(t.len(), 0);
+        assert_eq!(t.get(9), None);
+        t.insert(9, 3);
+        assert_eq!((t.len(), t.get(9)), (1, Some(3)));
+    }
+
+    #[test]
+    fn addr_table_removes_absent_keys() {
+        let mut t = AddrTable::default();
+        assert_eq!(t.remove(3), None);
+        t.insert(10, 1);
+        assert_eq!(t.remove(11), None, "absent key on an allocated page");
+        assert_eq!(t.remove(1 << 20), None, "page never allocated");
+        assert_eq!(t.remove(u64::MAX), None, "beyond the directory");
+        assert_eq!(t.get(1 << 20), None);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn addr_table_iterates_in_key_order() {
+        let mut t = AddrTable::default();
+        let keys = [70_000u64, 3, 4096, 4095, 1 << 31, 0];
+        for &k in &keys {
+            t.insert(k, (k % 1000) as u32 + 1);
+        }
+        let mut want: Vec<(u64, u32)> = keys.iter().map(|&k| (k, (k % 1000) as u32 + 1)).collect();
+        want.sort_unstable();
+        assert_eq!(t.iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "caps the address space at 2^32 words")]
+    fn addr_table_rejects_keys_past_the_address_cap() {
+        AddrTable::default().insert(MAX_KEY, 1);
+    }
+
+    #[test]
+    fn free_space_handles_sparse_high_gaps() {
+        const HIGH: u64 = 1 << 31;
+        // A gap start far above the rest, low enough that the start
+        // bitmap (one bit per address below it) stays at 16 MiB.
+        const MID: u64 = 1 << 27;
+        let mut fs = FreeSpace::new();
+        assert_eq!(fs.take(Size::new(8), FitPolicy::FirstFit), Addr::ZERO);
+        fs.release(Addr::new(2), Size::new(2));
+        // Taking far past the frontier leaves one huge skip gap.
+        assert!(fs.take_exact(Addr::new(HIGH), Size::new(4)));
+        assert_eq!(fs.frontier(), Addr::new(HIGH + 4));
+        assert_eq!(
+            fs.gap_starting_at(Addr::new(8)),
+            Some(Extent::from_raw(8, HIGH - 8))
+        );
+        fs.check_invariants().unwrap();
+        // Carving its low part moves the gap start up to a sparse key.
+        assert!(fs.take_exact(Addr::new(8), Size::new(MID - 8)));
+        assert_eq!(
+            fs.gap_starting_at(Addr::new(MID)),
+            Some(Extent::from_raw(MID, HIGH - MID))
+        );
+        assert_eq!(
+            fs.gap_ending_at(Addr::new(HIGH)),
+            Some(Extent::from_raw(MID, HIGH - MID))
+        );
+        assert_eq!(fs.take(Size::new(1), FitPolicy::BestFit), Addr::new(2));
+        assert_eq!(fs.take(Size::new(1), FitPolicy::BestFit), Addr::new(3));
+        assert_eq!(fs.take(Size::new(1), FitPolicy::BestFit), Addr::new(MID));
+        fs.check_invariants().unwrap();
+        // Releasing everything coalesces back down to an empty space.
+        fs.release(Addr::new(MID), Size::new(1));
+        fs.release(Addr::new(8), Size::new(MID - 8));
+        assert_eq!(fs.gap_count(), 1);
+        fs.release(Addr::new(HIGH), Size::new(4));
+        assert_eq!(fs.frontier(), Addr::new(8));
+        assert_eq!(fs.gap_count(), 0);
+        fs.check_invariants().unwrap();
+        fs.release(Addr::ZERO, Size::new(8));
+        assert_eq!(fs.frontier(), Addr::ZERO);
     }
 
     #[test]

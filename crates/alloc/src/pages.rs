@@ -23,12 +23,12 @@
 //! move; the density threshold only decides when evacuation is
 //! *worthwhile* space-wise.
 //!
-//! Per-class bookkeeping keeps pages in a slab addressed through an
-//! open-addressed `base -> slab index` map, with the `open`/`sparse`
-//! candidate sets as lazily-cleaned min-heaps (entries are revalidated
-//! against the page's current live count on peek). The seed
-//! `BTreeMap`/`BTreeSet` index survives only in the tests, as the lockstep
-//! oracle. The page pool itself is a [`FreeSpace`].
+//! Per-class bookkeeping keeps pages in a slab addressed through a dense
+//! table keyed by page number (`base >> log2(page words)`), with the
+//! `open`/`sparse` candidate sets as lazily-cleaned min-heaps (entries
+//! are revalidated against the page's current live count on peek). The
+//! seed `BTreeMap`/`BTreeSet` index survives only in the tests, as the
+//! lockstep oracle. The page pool itself is a [`FreeSpace`].
 
 use core::fmt;
 use std::cmp::Reverse;
@@ -38,7 +38,7 @@ use pcb_heap::{
     Addr, AllocRequest, HeapOps, MemoryManager, MoveOutcome, ObjectId, PlacementError, Size,
 };
 
-use crate::indexed::AddrMap;
+use crate::indexed::AddrTable;
 use crate::FreeSpace;
 
 /// Objects per page: each class-`k` page spans `4 * 2^k` words, mirroring
@@ -68,22 +68,25 @@ impl Page {
 }
 
 /// Page lookup plus the `open`/`sparse` candidate sets of one class.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct PageIndex {
-    /// base -> index into `slab`.
-    map: AddrMap,
+    /// Page number (`base >> shift`; bases are page-aligned) -> index
+    /// into `slab`, plus one.
+    map: AddrTable,
+    /// log2 of the class's page size in words.
+    shift: u32,
     slab: Vec<Option<Page>>,
     free_ids: Vec<usize>,
     /// Lazy min-heaps of candidate bases; entries are validated against
-    /// the page's live count on peek, and rebuilt from `map` when stale
-    /// entries dominate.
+    /// the page's live count on peek, and compacted when stale entries
+    /// dominate.
     open: BinaryHeap<Reverse<u64>>,
     sparse: BinaryHeap<Reverse<u64>>,
 }
 
 /// One size class: its pages and candidate indexes plus the free-slot
 /// tally.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ClassState {
     index: PageIndex,
     /// Total free slots across all pages of the class.
@@ -91,20 +94,42 @@ struct ClassState {
 }
 
 impl PageIndex {
+    /// An empty index for pages of `1 << shift` words.
+    fn new(shift: u32) -> Self {
+        PageIndex {
+            map: AddrTable::default(),
+            shift,
+            slab: Vec::new(),
+            free_ids: Vec::new(),
+            open: BinaryHeap::new(),
+            sparse: BinaryHeap::new(),
+        }
+    }
+
     fn page(&self, base: u64) -> Option<&Page> {
-        self.map
-            .get(base)
-            .and_then(|idx| self.slab[idx as usize].as_ref())
+        Self::lookup(&self.map, self.shift, &self.slab, base)
     }
 
     fn page_mut(&mut self, base: u64) -> Option<&mut Page> {
-        self.map
-            .get(base)
-            .and_then(|idx| self.slab[idx as usize].as_mut())
+        let idx = self.map.get(base >> self.shift)?;
+        self.slab[idx as usize - 1].as_mut()
+    }
+
+    /// [`page`](Self::page) over borrowed fields, so a candidate heap can
+    /// be mutated alongside.
+    fn lookup<'a>(
+        map: &AddrTable,
+        shift: u32,
+        slab: &'a [Option<Page>],
+        base: u64,
+    ) -> Option<&'a Page> {
+        let idx = map.get(base >> shift)?;
+        slab[idx as usize - 1].as_ref()
     }
 
     /// Installs a fresh (empty) page at `base`.
     fn insert_page(&mut self, base: u64, page: Page, slots: usize, sparse_live: usize) {
+        debug_assert_eq!(base & ((1 << self.shift) - 1), 0, "page-aligned base");
         let idx = match self.free_ids.pop() {
             Some(idx) => {
                 self.slab[idx] = Some(page);
@@ -115,20 +140,19 @@ impl PageIndex {
                 self.slab.len() - 1
             }
         };
-        self.map.insert(base, idx as u64);
+        let val = u32::try_from(idx + 1).expect("fewer than 2^32 pages per class");
+        self.map.insert(base >> self.shift, val);
         // An empty page is both open and sparse.
         self.open.push(Reverse(base));
         self.sparse.push(Reverse(base));
-        Self::maybe_rebuild(&self.map, &self.slab, &mut self.open, |p| p.live() < slots);
-        Self::maybe_rebuild(&self.map, &self.slab, &mut self.sparse, |p| {
-            p.live() <= sparse_live
-        });
+        self.maybe_rebuild(false, |p| p.live() < slots);
+        self.maybe_rebuild(true, |p| p.live() <= sparse_live);
     }
 
     /// Removes the page at `base`; its candidate entries go stale and are
     /// dropped lazily.
     fn remove_page(&mut self, base: u64) -> Option<Page> {
-        let idx = self.map.remove(base)? as usize;
+        let idx = self.map.remove(base >> self.shift)? as usize - 1;
         self.free_ids.push(idx);
         self.slab[idx].take()
     }
@@ -140,42 +164,34 @@ impl PageIndex {
     fn note_clear(&mut self, base: u64, live_now: usize, slots: usize, sparse_live: usize) {
         if live_now + 1 == slots {
             self.open.push(Reverse(base));
-            Self::maybe_rebuild(&self.map, &self.slab, &mut self.open, |p| p.live() < slots);
+            self.maybe_rebuild(false, |p| p.live() < slots);
         }
         if live_now == sparse_live {
             self.sparse.push(Reverse(base));
-            Self::maybe_rebuild(&self.map, &self.slab, &mut self.sparse, |p| {
-                p.live() <= sparse_live
-            });
+            self.maybe_rebuild(true, |p| p.live() <= sparse_live);
         }
     }
 
     /// Lowest base with at least one free slot, if any.
     fn first_open(&mut self, slots: usize) -> Option<u64> {
-        Self::first_live(&self.map, &self.slab, &mut self.open, |live| live < slots)
+        self.first_live(false, |p| p.live() < slots)
     }
 
     /// Lowest evacuation-candidate base, if any.
     fn first_sparse(&mut self, sparse_live: usize) -> Option<u64> {
-        Self::first_live(&self.map, &self.slab, &mut self.sparse, |live| {
-            live <= sparse_live
-        })
+        self.first_live(true, |p| p.live() <= sparse_live)
     }
 
-    /// Lowest base in `heap` whose page still qualifies, popping stale
-    /// entries on the way.
-    fn first_live(
-        map: &AddrMap,
-        slab: &[Option<Page>],
-        heap: &mut BinaryHeap<Reverse<u64>>,
-        member: impl Fn(usize) -> bool,
-    ) -> Option<u64> {
+    /// Lowest base in the `sparse` (else `open`) heap whose page still
+    /// qualifies, popping stale entries on the way.
+    fn first_live(&mut self, sparse: bool, member: impl Fn(&Page) -> bool) -> Option<u64> {
+        let heap = if sparse {
+            &mut self.sparse
+        } else {
+            &mut self.open
+        };
         while let Some(&Reverse(base)) = heap.peek() {
-            let live = map
-                .get(base)
-                .and_then(|idx| slab[idx as usize].as_ref())
-                .map(Page::live);
-            if live.is_some_and(&member) {
+            if Self::lookup(&self.map, self.shift, &self.slab, base).is_some_and(&member) {
                 return Some(base);
             }
             heap.pop();
@@ -183,34 +199,37 @@ impl PageIndex {
         None
     }
 
-    /// Rebuilds a candidate heap from ground truth once stale/duplicate
-    /// entries outnumber live pages 4:1.
-    fn maybe_rebuild(
-        map: &AddrMap,
-        slab: &[Option<Page>],
-        heap: &mut BinaryHeap<Reverse<u64>>,
-        member: impl Fn(&Page) -> bool,
-    ) {
-        if heap.len() <= 4 * map.len() + 8 {
+    /// Compacts the `sparse` (else `open`) heap once stale/duplicate
+    /// entries outnumber live pages 4:1: sort, dedup, and keep the bases
+    /// whose page still qualifies. Every qualifying page already holds an
+    /// entry, so membership is unchanged.
+    fn maybe_rebuild(&mut self, sparse: bool, member: impl Fn(&Page) -> bool) {
+        let heap = if sparse {
+            &mut self.sparse
+        } else {
+            &mut self.open
+        };
+        if heap.len() <= 4 * self.map.len() + 8 {
             return;
         }
-        heap.clear();
-        for (base, idx) in map.iter() {
-            if slab[idx as usize].as_ref().is_some_and(&member) {
-                heap.push(Reverse(base));
-            }
-        }
+        let mut bases = std::mem::take(heap).into_vec();
+        bases.sort_unstable();
+        bases.dedup();
+        bases.retain(|&Reverse(base)| {
+            Self::lookup(&self.map, self.shift, &self.slab, base).is_some_and(&member)
+        });
+        *heap = BinaryHeap::from(bases);
     }
 
     #[cfg(test)]
     fn snapshot(&self) -> Vec<(u64, Page)> {
-        let mut out: Vec<(u64, Page)> = self
-            .map
+        self.map
             .iter()
-            .map(|(base, idx)| (base, self.slab[idx as usize].clone().expect("mapped page")))
-            .collect();
-        out.sort_by_key(|&(b, _)| b);
-        out
+            .map(|(key, idx)| {
+                let page = self.slab[idx as usize - 1].clone().expect("mapped page");
+                (key << self.shift, page)
+            })
+            .collect()
     }
 
     #[cfg(test)]
@@ -232,7 +251,7 @@ impl PageIndex {
         assert_eq!(self.map.len(), live_slots, "map and slab agree");
         assert_eq!(self.slab.len(), live_slots + self.free_ids.len());
         for (_, idx) in self.map.iter() {
-            assert!(self.slab[idx as usize].is_some(), "mapped slot is live");
+            assert!(self.slab[idx as usize - 1].is_some(), "mapped slot is live");
         }
     }
 }
@@ -365,7 +384,12 @@ impl PageManager {
             return Err(PageGeometryError::BadSlots { slots });
         }
         Ok(PageManager {
-            classes: (0..=max_order).map(|_| ClassState::default()).collect(),
+            classes: (0..=max_order)
+                .map(|k| ClassState {
+                    index: PageIndex::new(k + slots.trailing_zeros()),
+                    free_slots: 0,
+                })
+                .collect(),
             pool: FreeSpace::new(),
             max_order,
             slots,
@@ -891,7 +915,7 @@ mod lockstep {
         fn page_index_matches_the_seed_index(
             ops in proptest::collection::vec(op_strategy(), 1..200),
         ) {
-            let mut ind = PageIndex::default();
+            let mut ind = PageIndex::new(4); // 16-word pages, as the bases
             let mut refr = ReferencePageIndex::default();
             let mut next_id = 0u64;
             for op in ops {
