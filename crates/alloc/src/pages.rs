@@ -90,7 +90,7 @@ struct PageIndex {
 struct ClassState {
     index: PageIndex,
     /// Total free slots across all pages of the class.
-    free_slots: usize,
+    spare_slots: usize,
 }
 
 impl PageIndex {
@@ -387,7 +387,7 @@ impl PageManager {
             classes: (0..=max_order)
                 .map(|k| ClassState {
                     index: PageIndex::new(k + slots.trailing_zeros()),
-                    free_slots: 0,
+                    spare_slots: 0,
                 })
                 .collect(),
             pool: FreeSpace::new(),
@@ -429,7 +429,7 @@ impl PageManager {
         let page = class.index.page_mut(base).expect("open page exists");
         let slot = page.first_free_slot().expect("page in open set has a slot");
         page.slots[slot] = Some(id);
-        class.free_slots -= 1;
+        class.spare_slots -= 1;
         Some(Self::slot_addr(base, k, slot))
     }
 
@@ -451,7 +451,7 @@ impl PageManager {
                 continue;
             };
             let live = class.index.page(base).expect("sparse page exists").live();
-            let spare_elsewhere = class.free_slots - (slots - live);
+            let spare_elsewhere = class.spare_slots - (slots - live);
             if spare_elsewhere < live {
                 continue;
             }
@@ -485,7 +485,7 @@ impl PageManager {
     ) -> Result<(), PlacementError> {
         let class = &mut self.classes[k as usize];
         let page = class.index.remove_page(base).expect("victim page exists");
-        class.free_slots -= self.slots - page.live();
+        class.spare_slots -= self.slots - page.live();
         for occupant in page.slots.iter() {
             let Some(id) = *occupant else { continue };
             if !ops.heap().is_live(id) {
@@ -531,7 +531,7 @@ impl PageManager {
         class
             .index
             .insert_page(base, Page::new(slots), slots, sparse_live);
-        class.free_slots += slots;
+        class.spare_slots += slots;
     }
 
     fn clear_slot(&mut self, addr: Addr, size: Size) {
@@ -548,17 +548,17 @@ impl PageManager {
         let slot = ((addr.get() - base) >> k) as usize;
         page.slots[slot] = None;
         let live = page.live();
-        class.free_slots += 1;
+        class.spare_slots += 1;
         if live == 0 {
             class.index.remove_page(base);
-            class.free_slots -= slots;
+            class.spare_slots -= slots;
             self.pool.release(Addr::new(base), Size::new(words));
         } else {
             class.index.note_clear(base, live, slots, sparse_live);
         }
     }
 
-    /// Debug helper for tests: verifies `free_slots` and the `open`/
+    /// Debug helper for tests: verifies `spare_slots` and the `open`/
     /// `sparse` indexes against the page contents.
     #[cfg(test)]
     fn check_consistency(&self) {
@@ -566,7 +566,7 @@ impl PageManager {
             class.index.check_structure();
             let snapshot = class.index.snapshot();
             let free: usize = snapshot.iter().map(|(_, p)| self.slots - p.live()).sum();
-            assert_eq!(class.free_slots, free, "class {k}");
+            assert_eq!(class.spare_slots, free, "class {k}");
             for (base, page) in &snapshot {
                 assert_eq!(
                     class.index.open_contains(*base, self.slots),
@@ -595,7 +595,7 @@ impl MemoryManager for PageManager {
         self.classes
             .iter()
             .enumerate()
-            .map(|(k, class)| (class.free_slots as u64) << k)
+            .map(|(k, class)| (class.spare_slots as u64) << k)
             .sum()
     }
 

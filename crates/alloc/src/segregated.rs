@@ -70,7 +70,7 @@ impl SegregatedManager {
     }
 
     /// Free slots per class (diagnostics).
-    pub fn free_slots(&self) -> Vec<usize> {
+    pub fn spare_slots(&self) -> Vec<usize> {
         (0..=self.max_order).map(|k| self.free.count(k)).collect()
     }
 

@@ -139,7 +139,7 @@ impl_referee!(SpaceMap);
 impl_referee!(ReferenceSpace);
 
 /// Replays the distilled op stream against a bare map — exactly the
-/// referee; the heap's object table, budget ledger, and stats are covered
+/// referee; the heap's id table, budget ledger, and stats are covered
 /// by the end-to-end timings. Returns the final map for the window-query
 /// phase.
 fn replay<R: Referee>(ops: &[ReplayOp]) -> R {

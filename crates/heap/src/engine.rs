@@ -402,8 +402,8 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
     }
 
     /// Publishes the occupancy map's telemetry counters (bitmap words
-    /// scanned, summary-level skips, SoA slot reuse) as high-water marks; a
-    /// no-op while telemetry is disabled.
+    /// scanned, summary-level skips, interval high-water and reuse) as
+    /// high-water marks; a no-op while telemetry is disabled.
     fn publish_substrate_counters(&self) {
         if !pcb_telemetry::enabled() {
             return;
@@ -513,7 +513,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         &mut self,
         mut observer: Option<&mut dyn Observer>,
     ) -> Result<(), ExecutionError> {
-        self.heap.set_round(self.round);
         Self::emit(&mut observer, &mut self.tick, || Event::RoundStart {
             round: self.round,
         });

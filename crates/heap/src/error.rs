@@ -73,6 +73,21 @@ pub enum HeapError {
         /// The configured maximum object size, if any.
         max: Option<Size>,
     },
+    /// A placement of an id that is already live.
+    AlreadyLive(ObjectId),
+    /// A placement of an id of 2^32 or more (the referee stores owner ids
+    /// in 32 bits).
+    IdOutOfRange(ObjectId),
+    /// A placement or relocation target that ends above the referee's
+    /// 2^32-word address space.
+    AddressOutOfRange {
+        /// The object being placed or moved.
+        id: ObjectId,
+        /// The target start address.
+        addr: Addr,
+        /// The object's size.
+        size: Size,
+    },
 }
 
 impl fmt::Display for HeapError {
@@ -92,6 +107,17 @@ impl fmt::Display for HeapError {
                 Some(max) => write!(f, "invalid object size {size} (max {max})"),
                 None => write!(f, "invalid object size {size}"),
             },
+            HeapError::AlreadyLive(id) => write!(f, "object {id} is already live"),
+            HeapError::IdOutOfRange(id) => {
+                write!(
+                    f,
+                    "object id {id} is out of range (ids must stay below 2^32)"
+                )
+            }
+            HeapError::AddressOutOfRange { id, addr, size } => write!(
+                f,
+                "placing {id} ({size}) at {addr} ends above the 2^32-word address space"
+            ),
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The simulated heap: object table + occupancy ground truth + c-partial
-//! budget + heap-size accounting.
+//! The simulated heap: id → address table + occupancy ground truth +
+//! c-partial budget + heap-size accounting.
 //!
 //! The heap does not model memory contents, only placement: that is all the
 //! paper's framework needs. The *heap size* `HS` is measured exactly as the
@@ -11,105 +11,10 @@ use crate::addr::{Addr, Extent, Size};
 use crate::budget::CompactionBudget;
 use crate::error::HeapError;
 use crate::object::{ObjectId, ObjectIdGen, ObjectRecord};
-use crate::space::SpaceMap;
+use crate::space::{SpaceMap, MAX_ADDR, MAX_OWNER};
 
-/// Sentinel for "not live" in [`ObjectTable::id_to_slot`].
-const NO_SLOT: u32 = u32::MAX;
-
-/// Dense object table: object ids are allocation sequence numbers, so a
-/// flat id→slot vector plus a recycled record arena replaces the hash map
-/// on the place/free/relocate hot path (no hashing, no probing).
-#[derive(Debug, Default, Clone)]
-struct ObjectTable {
-    /// id raw -> record slot; `NO_SLOT` while not live. Grows with the
-    /// highest id ever inserted.
-    id_to_slot: Vec<u32>,
-    /// Record arena indexed by slot; freed slots hold stale records.
-    records: Vec<ObjectRecord>,
-    /// Whether the slot currently holds a live record.
-    live_mask: Vec<bool>,
-    /// Recycled slots.
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl ObjectTable {
-    #[inline]
-    fn slot_of(&self, id: ObjectId) -> Option<usize> {
-        match self.id_to_slot.get(id.get() as usize) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn get(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.slot_of(id).map(|s| &self.records[s])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectRecord> {
-        self.slot_of(id).map(|s| &mut self.records[s])
-    }
-
-    fn insert(&mut self, rec: ObjectRecord) {
-        let raw = rec.id().get();
-        assert!(
-            raw < u64::from(NO_SLOT),
-            "object ids index the dense table and must stay below 2^32 - 1"
-        );
-        let idx = raw as usize;
-        if idx >= self.id_to_slot.len() {
-            self.id_to_slot.resize(idx + 1, NO_SLOT);
-        }
-        if let Some(&slot) = self.id_to_slot.get(idx).filter(|&&s| s != NO_SLOT) {
-            // Same id placed again: overwrite in place (map semantics).
-            self.records[slot as usize] = rec;
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.records[s as usize] = rec;
-                self.live_mask[s as usize] = true;
-                s
-            }
-            None => {
-                self.records.push(rec);
-                self.live_mask.push(true);
-                (self.records.len() - 1) as u32
-            }
-        };
-        self.id_to_slot[idx] = slot;
-        self.live += 1;
-    }
-
-    fn remove(&mut self, id: ObjectId) -> Option<ObjectRecord> {
-        let slot = self.slot_of(id)?;
-        self.id_to_slot[id.get() as usize] = NO_SLOT;
-        self.live_mask[slot] = false;
-        self.free.push(slot as u32);
-        self.live -= 1;
-        Some(self.records[slot])
-    }
-
-    #[inline]
-    fn contains(&self, id: ObjectId) -> bool {
-        self.slot_of(id).is_some()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Live records in slot order (an arbitrary but deterministic order).
-    fn iter(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.records
-            .iter()
-            .zip(&self.live_mask)
-            .filter_map(|(rec, &live)| live.then_some(rec))
-    }
-}
+/// Sentinel for "not live" in the `Heap::addr_of` table.
+const NOT_LIVE: u64 = u64::MAX;
 
 /// Aggregate operation counts for an execution.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +50,10 @@ pub struct HeapStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Heap {
-    objects: ObjectTable,
+    /// id -> start address, `NOT_LIVE` while not live. Object ids are
+    /// allocation sequence numbers, so the table is dense; sizes and
+    /// owners live once, in the space map's directory.
+    addr_of: Vec<u64>,
     space: SpaceMap,
     budget: CompactionBudget,
     id_gen: ObjectIdGen,
@@ -162,7 +70,6 @@ pub struct Heap {
     /// Total words of objects freed immediately upon being moved (the
     /// ghost objects of the paper's `P_F` discipline).
     ghost_words: Size,
-    round: u32,
     stats: HeapStats,
 }
 
@@ -190,7 +97,7 @@ impl Heap {
     /// Creates a heap with an explicit budget ledger.
     pub fn with_budget(budget: CompactionBudget) -> Self {
         Heap {
-            objects: ObjectTable::default(),
+            addr_of: Vec::new(),
             space: SpaceMap::new(),
             budget,
             id_gen: ObjectIdGen::new(),
@@ -201,7 +108,6 @@ impl Heap {
             max_used_end: Addr::ZERO,
             live_at_peak_span: Size::ZERO,
             ghost_words: Size::ZERO,
-            round: 0,
             stats: HeapStats::default(),
         }
     }
@@ -217,14 +123,22 @@ impl Heap {
         self.id_gen.fresh()
     }
 
-    /// Advances the round (step) counter; new objects record their round.
-    pub fn set_round(&mut self, round: u32) {
-        self.round = round;
+    /// The start address of live object `id`.
+    #[inline]
+    fn addr_of(&self, id: ObjectId) -> Option<Addr> {
+        match self.addr_of.get(id.get() as usize) {
+            Some(&a) if a != NOT_LIVE => Some(Addr::new(a)),
+            _ => None,
+        }
     }
 
-    /// The current round counter.
-    pub fn round(&self) -> u32 {
-        self.round
+    /// Rejects a target extent that ends above the referee's 2^32-word
+    /// address space.
+    fn check_range(id: ObjectId, addr: Addr, size: Size) -> Result<(), HeapError> {
+        if addr.get().saturating_add(size.get()) > MAX_ADDR {
+            return Err(HeapError::AddressOutOfRange { id, addr, size });
+        }
+        Ok(())
     }
 
     /// Places object `id` of `size` words at `addr`.
@@ -234,7 +148,9 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Fails if the extent is not free or the size is invalid.
+    /// Fails, leaving the heap unchanged, if the size is invalid, `id` is
+    /// 2^32 or more or already live, the extent ends above 2^32 words, or
+    /// the extent is not free.
     pub fn place(&mut self, id: ObjectId, addr: Addr, size: Size) -> Result<(), HeapError> {
         if size.is_zero() || self.max_object.is_some_and(|n| size > n) {
             return Err(HeapError::InvalidSize {
@@ -242,10 +158,20 @@ impl Heap {
                 max: self.max_object,
             });
         }
+        if id.get() >= MAX_OWNER {
+            return Err(HeapError::IdOutOfRange(id));
+        }
+        if self.is_live(id) {
+            return Err(HeapError::AlreadyLive(id));
+        }
+        Self::check_range(id, addr, size)?;
         let extent = Extent::new(addr, size);
         self.space.occupy(id, extent)?;
-        self.objects
-            .insert(ObjectRecord::new(id, addr, size, self.round));
+        let idx = id.get() as usize;
+        if idx >= self.addr_of.len() {
+            self.addr_of.resize(idx + 1, NOT_LIVE);
+        }
+        self.addr_of[idx] = addr.get();
         self.budget.on_allocated(size);
         self.live_words += size;
         self.peak_live = self.peak_live.max(self.live_words);
@@ -261,17 +187,18 @@ impl Heap {
     ///
     /// Fails if `id` is not live.
     pub fn free(&mut self, id: ObjectId) -> Result<(Addr, Size), HeapError> {
-        let rec = self
-            .objects
-            .remove(id)
-            .ok_or(HeapError::UnknownObject(id))?;
-        self.space
-            .release(rec.addr())
-            .expect("object table and space map agree");
-        self.live_words = self.live_words - rec.size();
+        let addr = self.addr_of(id).ok_or(HeapError::UnknownObject(id))?;
+        self.addr_of[id.get() as usize] = NOT_LIVE;
+        let (extent, owner) = self
+            .space
+            .release(addr)
+            .expect("id table and space map agree");
+        debug_assert_eq!(owner, id, "id table and space map agree");
+        let size = extent.size();
+        self.live_words = self.live_words - size;
         self.stats.objects_freed += 1;
-        self.stats.words_freed += rec.size().get();
-        Ok((rec.addr(), rec.size()))
+        self.stats.words_freed += size.get();
+        Ok((addr, size))
     }
 
     /// Relocates object `id` to `new_addr`, spending compaction budget equal
@@ -280,10 +207,11 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// Fails if `id` is not live, the destination is not free, or the move
-    /// would exceed the c-partial allowance; the heap is unchanged on error.
+    /// Fails if `id` is not live, the destination is not free or ends above
+    /// 2^32 words, or the move would exceed the c-partial allowance; the
+    /// heap is unchanged on error.
     pub fn relocate(&mut self, id: ObjectId, new_addr: Addr) -> Result<Addr, HeapError> {
-        let rec = *self.objects.get(id).ok_or(HeapError::UnknownObject(id))?;
+        let rec = self.record(id).ok_or(HeapError::UnknownObject(id))?;
         let old_addr = rec.addr();
         if new_addr == old_addr {
             // Moving zero distance moves no data: a no-op, free of budget.
@@ -296,11 +224,12 @@ impl Heap {
                 remaining: self.budget.allowance(),
             });
         }
+        Self::check_range(id, new_addr, rec.size())?;
         // Release-then-occupy so sliding moves that overlap the old
         // footprint succeed; roll back on failure.
         self.space
             .release(old_addr)
-            .expect("object table and space map agree");
+            .expect("id table and space map agree");
         let new_extent = Extent::new(new_addr, rec.size());
         match self.space.occupy(id, new_extent) {
             Ok(()) => {}
@@ -314,10 +243,7 @@ impl Heap {
         self.budget
             .on_moved(rec.size())
             .expect("can_move was checked above");
-        self.objects
-            .get_mut(id)
-            .expect("object is live")
-            .relocate(new_addr);
+        self.addr_of[id.get() as usize] = new_addr.get();
         self.note_used(new_extent);
         self.stats.objects_moved += 1;
         self.stats.words_moved += rec.size().get();
@@ -348,23 +274,32 @@ impl Heap {
     }
 
     /// The record of a live object.
-    pub fn record(&self, id: ObjectId) -> Option<&ObjectRecord> {
-        self.objects.get(id)
+    #[inline]
+    pub fn record(&self, id: ObjectId) -> Option<ObjectRecord> {
+        let addr = self.addr_of(id)?;
+        let size = self
+            .space
+            .size_at(addr)
+            .expect("id table and space map agree");
+        Some(ObjectRecord::new(id, addr, size))
     }
 
     /// Whether `id` is live.
+    #[inline]
     pub fn is_live(&self, id: ObjectId) -> bool {
-        self.objects.contains(id)
+        self.addr_of(id).is_some()
     }
 
-    /// Iterates over live objects in unspecified order.
-    pub fn live_objects(&self) -> impl Iterator<Item = &ObjectRecord> {
-        self.objects.iter()
+    /// Iterates over live objects in address order.
+    pub fn live_objects(&self) -> impl Iterator<Item = ObjectRecord> + '_ {
+        self.space
+            .iter()
+            .map(|(extent, owner)| ObjectRecord::new(owner, extent.start(), extent.size()))
     }
 
     /// Number of live objects.
     pub fn live_count(&self) -> usize {
-        self.objects.len()
+        self.space.len()
     }
 
     /// Total live words.
@@ -498,7 +433,6 @@ mod tests {
         let old = h.relocate(a, Addr::new(100)).unwrap();
         assert_eq!(old, Addr::new(0));
         assert_eq!(h.record(a).unwrap().addr(), Addr::new(100));
-        assert_eq!(h.record(a).unwrap().birth_addr(), Addr::new(0));
     }
 
     #[test]
@@ -562,15 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn rounds_stamp_births() {
-        let mut h = Heap::new(10);
-        h.set_round(3);
-        let a = h.fresh_id();
-        h.place(a, Addr::new(0), Size::new(1)).unwrap();
-        assert_eq!(h.record(a).unwrap().birth_round(), 3);
-    }
-
-    #[test]
     fn object_table_recycles_slots() {
         let mut h = Heap::new(10);
         let ids: Vec<_> = (0..8).map(|_| h.fresh_id()).collect();
@@ -596,6 +521,56 @@ mod tests {
         let mut want: Vec<_> = ids[4..].iter().chain(&more).copied().collect();
         want.sort();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn live_objects_come_in_address_order() {
+        let mut h = Heap::new(10);
+        for start in [50, 0, 4200, 9, 4096] {
+            let id = h.fresh_id();
+            h.place(id, Addr::new(start), Size::new(3)).unwrap();
+        }
+        let order: Vec<_> = h
+            .live_objects()
+            .map(|r| (r.addr().get(), r.id().get()))
+            .collect();
+        assert_eq!(order, vec![(0, 1), (9, 3), (50, 0), (4096, 4), (4200, 2)]);
+    }
+
+    #[test]
+    fn untrusted_placements_fail_without_touching_the_heap() {
+        let mut h = Heap::unlimited_compaction();
+        let a = h.fresh_id();
+        h.place(a, Addr::new(0), Size::new(4)).unwrap();
+        assert_eq!(
+            h.place(a, Addr::new(8), Size::new(4)),
+            Err(HeapError::AlreadyLive(a))
+        );
+        let huge = ObjectId::from_raw(1 << 32);
+        assert_eq!(
+            h.place(huge, Addr::new(8), Size::new(4)),
+            Err(HeapError::IdOutOfRange(huge))
+        );
+        let b = h.fresh_id();
+        for addr in [(1 << 32) - 3, u64::MAX] {
+            assert_eq!(
+                h.place(b, Addr::new(addr), Size::new(4)),
+                Err(HeapError::AddressOutOfRange {
+                    id: b,
+                    addr: Addr::new(addr),
+                    size: Size::new(4),
+                })
+            );
+        }
+        assert!(matches!(
+            h.relocate(a, Addr::new((1 << 32) - 1)),
+            Err(HeapError::AddressOutOfRange { .. })
+        ));
+        assert_eq!(h.live_count(), 1);
+        assert_eq!(h.space().len(), 1);
+        assert_eq!(h.stats().objects_placed, 1);
+        h.free(a).unwrap();
+        assert!(h.space().is_empty(), "the first placement was not leaked");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`Addr`]/[`Size`]/[`Extent`] — word-granularity geometry;
 //! * [`SpaceMap`] — ground-truth occupancy (no word is ever double-booked);
 //! * [`CompactionBudget`] — the exact c-partial ledger;
-//! * [`Heap`] — object table, peak heap-size (`HS`) accounting;
+//! * [`Heap`] — id → address table, peak heap-size (`HS`) accounting;
 //! * [`Program`]/[`MemoryManager`] — the two sides of the interaction;
 //! * [`Execution`] — the round-based driver, with [`Event`] tracing.
 //!

@@ -141,6 +141,11 @@ impl ReferenceSpace {
         }
     }
 
+    /// The size of the interval starting exactly at `start`, if one does.
+    pub fn size_at(&self, start: Addr) -> Option<Size> {
+        self.intervals.get(&start.get()).map(|&(e, _)| e.size())
+    }
+
     /// The object whose interval contains `addr`, if any.
     pub fn object_at(&self, addr: Addr) -> Option<ObjectId> {
         self.intervals

@@ -12,12 +12,12 @@
 //!   `occ[w] != 0`, so one summary word rules over 64 occupancy words
 //!   (4096 heap words) and long-range scans skip empty blocks wholesale.
 //!
-//! Object metadata lives in struct-of-arrays form: parallel vectors
-//! `slot_start` / `slot_size` / `slot_owner` indexed by a dense slot id
-//! (slots are recycled through a free list), plus a paged addr→slot
-//! directory written only at interval start addresses. Directory entries are
-//! never cleared on release: an entry is meaningful only while the matching
-//! `starts` bit is set, so stale slots are unreachable by construction.
+//! Object metadata lives in one paged directory indexed by address and
+//! written only at interval start addresses: each entry packs the
+//! interval's owner and size as `owner << 32 | (size - 1)`, so releasing or
+//! resolving an interval reads a single `u64`. Directory entries are never
+//! cleared on release: an entry is meaningful only while the matching
+//! `starts` bit is set, so stale entries are unreachable by construction.
 //!
 //! Correctness leans on three small invariants, each local to one word
 //! update in `occupy`/`release`:
@@ -40,16 +40,17 @@ use crate::object::ObjectId;
 /// Heap words per directory page.
 const DIR_PAGE: usize = 1 << 12;
 
-/// Sentinel for "no slot" in directory pages.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Hard cap on mapped addresses (in words). The bitmap backs the whole
 /// address range below the frontier with real memory, so a manager placing
 /// at astronomically sparse addresses would otherwise OOM the simulator.
-const MAX_ADDR: u64 = 1 << 32;
+pub(crate) const MAX_ADDR: u64 = 1 << 32;
 
-/// Occupancy map: a bitmap with a 64-word-stride summary and SoA slot
-/// metadata.
+/// Owner ids share a directory entry with the size, so they must stay
+/// below 2^32.
+pub(crate) const MAX_OWNER: u64 = 1 << 32;
+
+/// Occupancy map: a bitmap with a 64-word-stride summary and an
+/// address-indexed owner/size directory.
 ///
 /// Invariant: stored intervals are non-empty and pairwise disjoint.
 ///
@@ -72,16 +73,13 @@ pub struct SpaceMap {
     /// Summary level: bit `w % 64` of `sum[w / 64]` set iff `occ[w] != 0`.
     /// Invariant: `sum.len() * 64 == occ.len()`.
     sum: Vec<u64>,
-    /// addr -> slot directory; valid only where the `starts` bit is set.
-    dir: Vec<Option<Box<[u32; DIR_PAGE]>>>,
-    /// SoA slot metadata, indexed by dense slot id.
-    slot_start: Vec<u64>,
-    slot_size: Vec<u64>,
-    slot_owner: Vec<ObjectId>,
-    /// Recycled slot ids.
-    free_slots: Vec<u32>,
+    /// start -> `owner << 32 | (size - 1)`; valid only where the `starts`
+    /// bit is set.
+    dir: Vec<Option<Box<[u64; DIR_PAGE]>>>,
     /// Stored interval count.
     live: usize,
+    /// Peak stored interval count.
+    peak_live: usize,
     /// Total occupied words.
     occupied: u64,
     /// One past the highest occupied word (0 when empty); cached.
@@ -91,11 +89,12 @@ pub struct SpaceMap {
     words_scanned: Cell<u64>,
     /// Telemetry: 64-word blocks skipped via the summary level.
     summary_skips: Cell<u64>,
-    /// Telemetry: slot allocations served from the free list.
+    /// Telemetry: occupations made while fewer intervals were live than
+    /// at the peak.
     slots_reused: u64,
 }
 
-/// Telemetry counters of a [`SpaceMap`]'s scans and slot table.
+/// Telemetry counters of a [`SpaceMap`]'s scans and interval count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubstrateCounters {
     /// Occupancy words examined by bit scans (overlap checks, gap walks,
@@ -103,9 +102,10 @@ pub struct SubstrateCounters {
     pub words_scanned: u64,
     /// 64-word blocks skipped wholesale thanks to the summary level.
     pub summary_skips: u64,
-    /// High-water mark of the SoA slot table (peak simultaneous intervals).
+    /// Peak number of simultaneously stored intervals.
     pub slot_high_water: u64,
-    /// Slot allocations served by recycling a freed slot.
+    /// Occupations made while fewer intervals were stored than at the
+    /// peak (a slot table's free list would have served them).
     pub slots_reused: u64,
 }
 
@@ -145,13 +145,13 @@ impl SpaceMap {
         self.first_set(0, self.frontier).map(Addr::new)
     }
 
-    /// Telemetry counters (words scanned, summary skips, slot high-water
-    /// mark and reuse).
+    /// Telemetry counters (words scanned, summary skips, interval
+    /// high-water mark and reuse).
     pub fn counters(&self) -> Option<SubstrateCounters> {
         Some(SubstrateCounters {
             words_scanned: self.words_scanned.get(),
             summary_skips: self.summary_skips.get(),
-            slot_high_water: self.slot_start.len() as u64,
+            slot_high_water: self.peak_live as u64,
             slots_reused: self.slots_reused,
         })
     }
@@ -317,20 +317,34 @@ impl SpaceMap {
             scanned += 1;
         };
         self.note_scan(scanned, 0);
-        let slot = self.slot_at(start);
-        (
-            Extent::from_raw(start, self.slot_size[slot]),
-            self.slot_owner[slot],
-        )
+        let (size, owner) = self.entry_at(start);
+        (Extent::from_raw(start, size), owner)
     }
 
-    /// Directory lookup; `start` must carry a set `starts` bit.
+    /// Directory lookup of `(size, owner)`; `start` must carry a set
+    /// `starts` bit.
     #[inline]
-    fn slot_at(&self, start: u64) -> usize {
+    fn entry_at(&self, start: u64) -> (u64, ObjectId) {
         let page = self.dir[start as usize / DIR_PAGE]
             .as_deref()
             .expect("interval start has a directory page");
-        page[start as usize % DIR_PAGE] as usize
+        let entry = page[start as usize % DIR_PAGE];
+        ((entry & 0xffff_ffff) + 1, ObjectId::from_raw(entry >> 32))
+    }
+
+    /// Whether an interval starts exactly at `a`.
+    #[inline]
+    fn starts_at(&self, a: u64) -> bool {
+        self.starts
+            .get((a / 64) as usize)
+            .is_some_and(|w| w & (1u64 << (a % 64)) != 0)
+    }
+
+    /// The size of the interval starting exactly at `start`, if one does.
+    #[inline]
+    pub fn size_at(&self, start: Addr) -> Option<Size> {
+        let a = start.get();
+        self.starts_at(a).then(|| Size::new(self.entry_at(a).0))
     }
 
     /// Clears `occ` bits over `[lo, hi)`, maintaining the summary invariant.
@@ -435,11 +449,15 @@ impl SpaceMap {
     ///
     /// # Panics
     ///
-    /// Panics if `extent` ends above 2^32 words.
+    /// Panics if `extent` ends above 2^32 words or `owner` is 2^32 or more.
     pub fn occupy(&mut self, owner: ObjectId, extent: Extent) -> Result<(), SpaceError> {
         if extent.size().is_zero() {
             return Err(SpaceError::EmptyExtent { owner });
         }
+        assert!(
+            owner.get() < MAX_OWNER,
+            "the occupancy map caps owner ids below 2^32 (owner {owner})"
+        );
         let lo = extent.start().get();
         let hi = extent.end().get();
         self.ensure_capacity(hi);
@@ -491,32 +509,17 @@ impl SpaceMap {
             self.sum[w / 64] |= 1u64 << (w % 64);
         }
         self.starts[(lo / 64) as usize] |= 1u64 << (lo % 64);
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slots_reused += 1;
-                s as usize
-            }
-            None => {
-                assert!(
-                    self.slot_start.len() < NO_SLOT as usize,
-                    "slot table overflow"
-                );
-                self.slot_start.push(0);
-                self.slot_size.push(0);
-                self.slot_owner.push(owner);
-                self.slot_start.len() - 1
-            }
-        };
-        self.slot_start[slot] = lo;
-        self.slot_size[slot] = hi - lo;
-        self.slot_owner[slot] = owner;
         let page = lo as usize / DIR_PAGE;
         if page >= self.dir.len() {
             self.dir.resize(page + 1, None);
         }
-        self.dir[page].get_or_insert_with(|| Box::new([NO_SLOT; DIR_PAGE]))
-            [lo as usize % DIR_PAGE] = slot as u32;
+        self.dir[page].get_or_insert_with(|| Box::new([0; DIR_PAGE]))[lo as usize % DIR_PAGE] =
+            owner.get() << 32 | (hi - lo - 1);
+        if self.live < self.peak_live {
+            self.slots_reused += 1;
+        }
         self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
         self.occupied += hi - lo;
         if hi > self.frontier {
             self.frontier = hi;
@@ -531,16 +534,12 @@ impl SpaceMap {
     /// Returns [`SpaceError::NotOccupied`] if no interval starts at `start`.
     pub fn release(&mut self, start: Addr) -> Result<(Extent, ObjectId), SpaceError> {
         let a = start.get();
-        let w = (a / 64) as usize;
-        if w >= self.starts.len() || self.starts[w] & (1u64 << (a % 64)) == 0 {
+        if !self.starts_at(a) {
             return Err(SpaceError::NotOccupied { addr: start });
         }
-        let slot = self.slot_at(a);
-        let size = self.slot_size[slot];
-        let owner = self.slot_owner[slot];
-        self.starts[w] &= !(1u64 << (a % 64));
+        let (size, owner) = self.entry_at(a);
+        self.starts[(a / 64) as usize] &= !(1u64 << (a % 64));
         self.clear_range(a, a + size);
-        self.free_slots.push(slot as u32);
         self.live -= 1;
         self.occupied -= size;
         if a + size == self.frontier {

@@ -7,7 +7,8 @@
 //! manager cannot corrupt the ground truth it is judged against.
 //!
 //! The map is a word-granularity occupancy bitmap with a 64-word-stride
-//! summary level and struct-of-arrays object metadata ([`bitmap`]). The
+//! summary level and an address-indexed owner/size directory ([`bitmap`]),
+//! the one place each live object's size and owner are kept. The
 //! seed `BTreeMap` interval map survives as
 //! [`ReferenceSpace`](crate::reference::ReferenceSpace), which
 //! `tests/substrate_equivalence.rs` drives in lockstep with this one.
@@ -15,6 +16,7 @@
 mod bitmap;
 
 pub use bitmap::{SpaceMap, SubstrateCounters};
+pub(crate) use bitmap::{MAX_ADDR, MAX_OWNER};
 
 #[cfg(test)]
 mod tests {
@@ -223,13 +225,75 @@ mod tests {
 
     #[test]
     fn bitmap_counters_move() {
+        // Occupy 3, release 1, occupy 2: the values a slot table with a
+        // free list reported.
         let mut m = SpaceMap::new();
-        m.occupy(id(1), Extent::from_raw(0, 70)).unwrap();
-        m.release(Addr::new(0)).unwrap();
-        m.occupy(id(2), Extent::from_raw(128, 1)).unwrap();
+        for i in 0..3 {
+            m.occupy(id(i), Extent::from_raw(i * 70, 70)).unwrap();
+        }
+        m.release(Addr::new(70)).unwrap();
+        m.occupy(id(3), Extent::from_raw(70, 2)).unwrap();
+        m.occupy(id(4), Extent::from_raw(300, 2)).unwrap();
         let c = m.counters().unwrap();
-        assert!(c.slot_high_water >= 1);
-        assert_eq!(c.slots_reused, 1, "second occupy recycles the slot");
+        assert!(c.words_scanned > 0);
+        assert_eq!(c.slot_high_water, 4);
+        assert_eq!(c.slots_reused, 1, "the first occupy after a release");
+    }
+
+    #[test]
+    fn starts_on_both_sides_of_a_directory_page() {
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(4095, 1)).unwrap();
+        m.occupy(id(2), Extent::from_raw(4096, 1)).unwrap();
+        m.occupy(id(3), Extent::from_raw(4097, 3)).unwrap();
+        assert_eq!(m.size_at(Addr::new(4095)), Some(Size::new(1)));
+        assert_eq!(m.size_at(Addr::new(4096)), Some(Size::new(1)));
+        assert_eq!(m.size_at(Addr::new(4097)), Some(Size::new(3)));
+        assert_eq!(m.object_at(Addr::new(4099)), Some(id(3)));
+        let order: Vec<_> = m.iter().collect();
+        assert_eq!(
+            order,
+            vec![
+                (Extent::from_raw(4095, 1), id(1)),
+                (Extent::from_raw(4096, 1), id(2)),
+                (Extent::from_raw(4097, 3), id(3)),
+            ]
+        );
+        assert_eq!(
+            m.release(Addr::new(4096)).unwrap(),
+            (Extent::from_raw(4096, 1), id(2))
+        );
+        assert_eq!(m.size_at(Addr::new(4096)), None);
+        assert_eq!(m.object_at(Addr::new(4095)), Some(id(1)));
+        assert_eq!(m.object_at(Addr::new(4097)), Some(id(3)));
+    }
+
+    #[test]
+    fn largest_owner_id_round_trips() {
+        let mut m = SpaceMap::new();
+        let top = id((1 << 32) - 1);
+        m.occupy(top, Extent::from_raw(7, 9)).unwrap();
+        assert_eq!(m.object_at(Addr::new(15)), Some(top));
+        assert_eq!(m.release(Addr::new(7)), Ok((Extent::from_raw(7, 9), top)));
+    }
+
+    #[test]
+    #[should_panic(expected = "caps owner ids below 2^32")]
+    fn owner_ids_above_32_bits_panic() {
+        SpaceMap::new()
+            .occupy(id(1 << 32), Extent::from_raw(0, 1))
+            .unwrap();
+    }
+
+    #[test]
+    fn size_at_needs_an_interval_start() {
+        let mut m = SpaceMap::new();
+        m.occupy(id(1), Extent::from_raw(10, 5)).unwrap();
+        assert_eq!(m.size_at(Addr::new(10)), Some(Size::new(5)));
+        assert_eq!(m.size_at(Addr::new(3)), None, "free word");
+        assert_eq!(m.size_at(Addr::new(12)), None, "interior word");
+        assert_eq!(m.size_at(Addr::new(15)), None, "frontier");
+        assert_eq!(m.size_at(Addr::new(1 << 40)), None, "far above");
     }
 
     #[test]

@@ -222,14 +222,13 @@ impl Trace {
         };
         for (i, event) in self.events.iter().enumerate() {
             match *event {
-                TraceEvent::RoundStart { round } => heap.set_round(round),
-                TraceEvent::RoundEnd { .. } => {}
+                TraceEvent::RoundStart { .. } | TraceEvent::RoundEnd { .. } => {}
                 TraceEvent::Placed { id, addr, size } => {
+                    heap.place(ObjectId::from_raw(id), Addr::new(addr), Size::new(size))
+                        .map_err(|e| (i, e))?;
                     // Keep the id generator in sync so fresh ids never
                     // collide if the heap is used further after replay.
                     while heap.fresh_id().get() < id {}
-                    heap.place(ObjectId::from_raw(id), Addr::new(addr), Size::new(size))
-                        .map_err(|e| (i, e))?;
                 }
                 TraceEvent::Freed { id } => {
                     heap.free(ObjectId::from_raw(id)).map_err(|e| (i, e))?;

@@ -126,6 +126,20 @@ proptest! {
                     "object_at {}",
                     start
                 );
+                prop_assert_eq!(
+                    bit.size_at(Addr::new(start)),
+                    oracle.size_at(Addr::new(start)),
+                    "size_at {}",
+                    start
+                );
+            }
+            for &start in &live_starts {
+                prop_assert_eq!(
+                    bit.size_at(Addr::new(start)),
+                    oracle.size_at(Addr::new(start)),
+                    "size_at live start {}",
+                    start
+                );
             }
         }
     }

@@ -112,6 +112,56 @@ fn replay_rejects_garbage() {
     std::fs::remove_file(path).ok();
 }
 
+/// Replays a hand-written JSONL trace (header `{"c":20}` plus `events`)
+/// and returns the replay's stderr, asserting it failed cleanly.
+fn replay_rejects(name: &str, events: &[&str]) -> String {
+    let mut text = String::from("{\"c\":20}\n");
+    for event in events {
+        text.push_str(event);
+        text.push('\n');
+    }
+    let path = temp_file(name, &text);
+    let (stdout, stderr, ok) = pcb(&["replay", path.to_str().unwrap()]);
+    std::fs::remove_file(path).ok();
+    assert!(!ok, "replay accepted {name}: {stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    stderr
+}
+
+#[test]
+fn replay_rejects_placing_a_live_id_again() {
+    let stderr = replay_rejects(
+        "double-place.jsonl",
+        &[
+            r#"{"addr":0,"id":0,"kind":"placed","size":4}"#,
+            r#"{"addr":8,"id":0,"kind":"placed","size":4}"#,
+            r#"{"id":0,"kind":"freed"}"#,
+        ],
+    );
+    assert!(
+        stderr.contains("event 1") && stderr.contains("already live"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn replay_rejects_ids_of_2_pow_32_and_above() {
+    let stderr = replay_rejects(
+        "huge-id.jsonl",
+        &[r#"{"addr":0,"id":4294967296,"kind":"placed","size":4}"#],
+    );
+    assert!(stderr.contains("out of range"), "{stderr}");
+}
+
+#[test]
+fn replay_rejects_placements_above_the_address_space() {
+    let stderr = replay_rejects(
+        "high-addr.jsonl",
+        &[r#"{"addr":4294967294,"id":0,"kind":"placed","size":4}"#],
+    );
+    assert!(stderr.contains("2^32-word address space"), "{stderr}");
+}
+
 #[test]
 fn sweep_rho_lists_feasible_points() {
     let (stdout, _, ok) = pcb(&["sweep", "rho", "268435456", "20", "100"]);
