@@ -399,4 +399,45 @@ mod tests {
         }
         assert_eq!(FaultSite::by_name("nope"), None);
     }
+
+    /// Spec fragments: keys, separators, numbers at and past the
+    /// integer limits, and junk.
+    const FRAGMENTS: &[&str] = &[
+        "seed",
+        "=",
+        ",",
+        "alloc-refusal",
+        "budget-cut",
+        "mirror-flip",
+        "trace-io",
+        "tenant-panic",
+        "off",
+        "7",
+        "0",
+        "-1",
+        "1e3",
+        "4294967295",
+        "4294967296",
+        "18446744073709551616",
+        "x",
+        "é",
+        " ",
+        "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn arbitrary_specs_parse_or_fail_cleanly(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..12),
+        ) {
+            let spec: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            match spec.parse::<FaultPlan>() {
+                // Whatever parses prints back to an equal plan.
+                Ok(plan) => proptest::prop_assert_eq!(plan.to_string().parse::<FaultPlan>(), Ok(plan)),
+                Err(e) => proptest::prop_assert!(e.to_string().starts_with("bad fault plan: ")),
+            }
+        }
+    }
 }

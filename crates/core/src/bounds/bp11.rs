@@ -15,7 +15,7 @@
 //! At the paper's realistic parameters this lower bound stays below the
 //! trivial `M` for every `c ∈ [10, 100]` — exactly the observation that
 //! motivates the paper ("previous results provide nothing but the trivial
-//! lower bound"), reproduced by `fig1`.
+//! lower bound"), reproduced by `pcb figure 1`.
 
 use crate::params::Params;
 

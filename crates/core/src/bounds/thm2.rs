@@ -10,7 +10,7 @@
 //! **Reconstruction note.** The theorem's display is damaged in the
 //! available text; this is the most defensible reading (see DESIGN.md §4,
 //! note 1). What the paper states unambiguously and what this module
-//! faithfully reproduces in `fig3`: (a) the bound applies for
+//! faithfully reproduces in `pcb figure 3`: (a) the bound applies for
 //! `c > ½·log₂ n`; (b) it improves on the prior best
 //! `min((c+1)·M, Robson-doubled)` on `c ∈ [20, 100]` at the Figure 3
 //! parameters; (c) the improvement is modest (the paper calls the result

@@ -3,8 +3,9 @@
 //! The paper's figures are analytic (they plot the bound formulas, not
 //! measurements); these functions regenerate the exact series at the
 //! paper's parameters, fanning the grid points across threads via
-//! [`parallel::par_map`] (results stay in sweep order). The `pcb-bench`
-//! crate prints them as CSV and times them in its benches.
+//! [`parallel::par_map`] (results stay in sweep order). [`to_csv`] renders
+//! them as `pcb figure` prints them; the `pcb-bench` crate times them in
+//! its benches.
 
 use pcb_json::{Json, ToJson};
 
@@ -139,6 +140,35 @@ impl ToJson for Fig3Row {
             ("prior_best", Json::from(self.prior_best)),
         ])
     }
+}
+
+/// Renders rows as a CSV table (header from the first row's field names,
+/// alphabetical — [`Json`] objects keep their keys sorted).
+pub fn to_csv<T: ToJson>(rows: &[T]) -> String {
+    let mut out = String::new();
+    let mut header_done = false;
+    for row in rows {
+        let value = row.to_json();
+        let Json::Object(obj) = &value else {
+            panic!("rows serialize to objects");
+        };
+        if !header_done {
+            out.push_str(&obj.keys().map(String::as_str).collect::<Vec<_>>().join(","));
+            out.push('\n');
+            header_done = true;
+        }
+        let line: Vec<String> = obj
+            .values()
+            .map(|v| match v {
+                Json::Str(s) => s.clone(),
+                Json::Null => String::new(),
+                other => other.to_string(),
+            })
+            .collect();
+        out.push_str(&line.join(","));
+        out.push('\n');
+    }
+    out
 }
 
 /// The per-round profile of one adversarial run — the empirical companion

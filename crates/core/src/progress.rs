@@ -51,7 +51,11 @@ impl ProgressOptions {
         const DEFAULT_EVERY: Duration = Duration::from_secs(2);
         match self.mode {
             ProgressMode::Off => None,
-            ProgressMode::Every(secs) => Some(Duration::from_secs_f64(secs.max(0.0))),
+            // Negative and NaN mean every tick; a cadence too large for a
+            // `Duration` never emits after the first pulse.
+            ProgressMode::Every(secs) => {
+                Some(Duration::try_from_secs_f64(secs.max(0.0)).unwrap_or(Duration::MAX))
+            }
             ProgressMode::Auto => {
                 if std::io::stderr().is_terminal() || self.stream.is_some() {
                     Some(DEFAULT_EVERY)

@@ -270,6 +270,7 @@ impl Trace {
             .get("c")
             .and_then(Json::as_u64)
             .ok_or_else(|| "trace header missing integer field `c`".to_string())?;
+        let c = checked_budget(c)?;
         let events = lines
             .map(|line| {
                 Json::parse(line)
@@ -291,6 +292,7 @@ impl Trace {
             .get("c")
             .and_then(Json::as_u64)
             .ok_or_else(|| "trace missing integer field `c`".to_string())?;
+        let c = checked_budget(c)?;
         let events = value
             .get("events")
             .and_then(Json::as_array)
@@ -300,6 +302,16 @@ impl Trace {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Trace { c, events })
     }
+}
+
+/// Validates a trace's recorded compaction bound: 0 (unlimited),
+/// `u64::MAX` (non-moving) or any `c > 1`. A bound of 1 has no heap to
+/// replay on (the paper assumes `c > 1`).
+fn checked_budget(c: u64) -> Result<u64, String> {
+    if c == 1 {
+        return Err("trace compaction bound c = 1 is invalid (use 0, u64::MAX or c > 1)".into());
+    }
+    Ok(c)
 }
 
 /// An [`Observer`] that records a [`Trace`].
@@ -658,5 +670,19 @@ mod tests {
         // The same trace under an unlimited ledger replays fine.
         trace.c = 0;
         assert!(trace.replay().is_ok());
+    }
+
+    #[test]
+    fn loaders_reject_a_compaction_bound_of_one() {
+        let e = Trace::from_json(r#"{"c":1,"events":[]}"#).unwrap_err();
+        assert!(e.contains("c = 1"), "{e}");
+        let e = Trace::from_jsonl("{\"c\":1}\n").unwrap_err();
+        assert!(e.contains("c = 1"), "{e}");
+        for c in [0, 2, u64::MAX] {
+            let trace = Trace::from_jsonl(&format!("{{\"c\":{c}}}\n")).unwrap();
+            assert_eq!(trace.c, c);
+            assert!(trace.replay().is_ok());
+            assert_eq!(Trace::from_json(&trace.to_json()).unwrap(), trace);
+        }
     }
 }

@@ -39,15 +39,70 @@ fn bounds_rejects_bad_parameters() {
 
 #[test]
 fn figure_emits_csv_and_plot() {
-    let (csv, _, ok) = pcb(&["figure", "1"]);
-    assert!(ok);
-    assert!(csv.lines().count() > 90);
-    assert!(csv.contains("bp11,c,h,rho") || csv.contains("c,"), "{csv}");
+    for (figure, min_lines, header, plotted) in [
+        ("1", 90, "bp11,c,h,rho", "= thm1-lower"),
+        ("2", 20, "h,log_n,m,rho", "= thm1-lower"),
+        (
+            "3",
+            90,
+            "bp11_upper,c,prior_best,robson_doubled,thm2",
+            "= thm2-upper",
+        ),
+    ] {
+        let (csv, _, ok) = pcb(&["figure", figure]);
+        assert!(ok);
+        assert!(csv.lines().count() > min_lines);
+        assert!(csv.contains(header) || csv.contains("c,"), "{csv}");
 
-    let (plot, _, ok) = pcb(&["figure", "1", "--plot"]);
-    assert!(ok);
-    assert!(plot.contains("= thm1-lower"));
-    assert!(plot.contains('*'));
+        let (plot, _, ok) = pcb(&["figure", figure, "--plot"]);
+        assert!(ok);
+        assert!(plot.contains(plotted));
+        assert!(plot.contains('*'));
+    }
+}
+
+#[test]
+fn figure_and_reproduce_reject_unknown_flags() {
+    for args in [&["figure", "1", "--plto"][..], &["reproduce", "--bogus"]] {
+        let (stdout, stderr, ok) = pcb(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
+}
+
+/// A reader that goes away early (`pcb figure 1 | head -1`) ends the run
+/// cleanly: exit status 0 and no panic on stderr.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_pcb"))
+            .args(["figure", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs")
+    };
+    let finish = |child: std::process::Child| {
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    };
+    // Read one line, then close the pipe.
+    let mut child = spawn();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert_eq!(line, "bp11,c,h,rho\n");
+    finish(child);
+    // Close the pipe before the first write: every write fails.
+    let mut child = spawn();
+    drop(child.stdout.take());
+    finish(child);
 }
 
 #[test]
@@ -112,10 +167,10 @@ fn replay_rejects_garbage() {
     std::fs::remove_file(path).ok();
 }
 
-/// Replays a hand-written JSONL trace (header `{"c":20}` plus `events`)
-/// and returns the replay's stderr, asserting it failed cleanly.
-fn replay_rejects(name: &str, events: &[&str]) -> String {
-    let mut text = String::from("{\"c\":20}\n");
+/// Replays a hand-written JSONL trace (`header` line plus `events`) and
+/// returns the replay's stderr, asserting it failed cleanly.
+fn replay_rejects(name: &str, header: &str, events: &[&str]) -> String {
+    let mut text = format!("{header}\n");
     for event in events {
         text.push_str(event);
         text.push('\n');
@@ -132,6 +187,7 @@ fn replay_rejects(name: &str, events: &[&str]) -> String {
 fn replay_rejects_placing_a_live_id_again() {
     let stderr = replay_rejects(
         "double-place.jsonl",
+        r#"{"c":20}"#,
         &[
             r#"{"addr":0,"id":0,"kind":"placed","size":4}"#,
             r#"{"addr":8,"id":0,"kind":"placed","size":4}"#,
@@ -148,6 +204,7 @@ fn replay_rejects_placing_a_live_id_again() {
 fn replay_rejects_ids_of_2_pow_32_and_above() {
     let stderr = replay_rejects(
         "huge-id.jsonl",
+        r#"{"c":20}"#,
         &[r#"{"addr":0,"id":4294967296,"kind":"placed","size":4}"#],
     );
     assert!(stderr.contains("out of range"), "{stderr}");
@@ -157,9 +214,39 @@ fn replay_rejects_ids_of_2_pow_32_and_above() {
 fn replay_rejects_placements_above_the_address_space() {
     let stderr = replay_rejects(
         "high-addr.jsonl",
+        r#"{"c":20}"#,
         &[r#"{"addr":4294967294,"id":0,"kind":"placed","size":4}"#],
     );
     assert!(stderr.contains("2^32-word address space"), "{stderr}");
+}
+
+#[test]
+fn replay_rejects_a_compaction_bound_of_one() {
+    let stderr = replay_rejects(
+        "c-one.jsonl",
+        r#"{"c":1}"#,
+        &[r#"{"addr":0,"id":0,"kind":"placed","size":4}"#],
+    );
+    assert!(stderr.contains("c = 1"), "{stderr}");
+}
+
+#[test]
+fn progress_cadence_must_be_finite_and_non_negative() {
+    for cmd in [
+        &["simulate"][..],
+        &["fleet", "--tenants", "8"],
+        &["worst-case", "6", "1"],
+    ] {
+        for secs in ["inf", "1e300", "NaN", "-1"] {
+            let flag = format!("--progress={secs}");
+            let mut args = cmd.to_vec();
+            args.push(&flag);
+            let (_, stderr, ok) = pcb(&args);
+            assert!(!ok, "{args:?} must fail");
+            assert!(stderr.contains("error: --progress:"), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
 }
 
 #[test]
