@@ -5,7 +5,8 @@
 //! It keeps a `BTreeMap<u64, u64>` address mirror plus a
 //! `BTreeSet<(len, start)>` size index: the most obviously-correct
 //! formulation of the gap set. `tests/manager_equivalence.rs` drives both
-//! over random scripts, and `alloc_bench` times both on recorded streams.
+//! over random scripts, and the `alloc` bench suite times both on churn
+//! streams.
 
 use std::collections::{BTreeMap, BTreeSet};
 

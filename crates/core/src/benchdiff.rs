@@ -1,6 +1,6 @@
-//! Structural comparison of benchmark artifacts (`BENCH_parallel.json`,
-//! `BENCH_obs.json`, and future bench files): the regression gate behind
-//! `pcb bench diff`.
+//! Structural comparison of benchmark artifacts: the regression gate
+//! behind `pcb bench diff`, read against the one artifact `pcb bench run`
+//! writes (checked-in baseline: `BENCH_suites.json`).
 //!
 //! A bench artifact mixes three kinds of fields, and the comparator
 //! treats each differently:
@@ -17,8 +17,14 @@
 //!   `*overhead*`, `*within_budget*`) is noisy by nature and compares
 //!   within a tolerance: relative for magnitudes, absolute (percentage
 //!   points) for `*_pct` fields whose baseline legitimately crosses zero.
+//!   In a `budgets` entry, `value` is such a percentage and `pass` is
+//!   derived from it.
 //! * **Identity** (everything else: names, item counts, event counts,
 //!   `reports_identical`, …) is deterministic and must match exactly.
+//!
+//! Whether a run stays inside its budgets is the harness's call, not
+//! this comparator's: `pcb bench run` exits non-zero on a failed
+//! enforced budget.
 
 use std::fmt;
 
@@ -36,6 +42,16 @@ fn is_timing_key(key: &str) -> bool {
         || key.contains("overhead")
         || key.ends_with("_pct")
         || key.contains("within_budget")
+}
+
+/// The key a leaf is classified by: inside a `budgets` entry, `value`
+/// is a percentage and `pass` is derived from it.
+fn leaf_key<'a>(parent: &str, key: &'a str) -> &'a str {
+    match (parent, key) {
+        ("budgets", "value") => "value_pct",
+        ("budgets", "pass") => "pass_within_budget",
+        _ => key,
+    }
 }
 
 /// One observation from the comparison, with the JSON path it concerns.
@@ -205,7 +221,7 @@ impl Differ {
             (Json::Object(a), Json::Object(b)) => {
                 for (k, vb) in b {
                     match a.get(k) {
-                        Some(va) => self.walk(&format!("{path}.{k}"), k, va, vb),
+                        Some(va) => self.walk(&format!("{path}.{k}"), leaf_key(key, k), va, vb),
                         // Structure is enforced regardless of comparability.
                         None => self.fail(
                             &format!("{path}.{k}"),
@@ -421,6 +437,37 @@ mod tests {
         assert!(
             compare(&flipped_smoke, &doc, 25.0).passed(),
             "incomparable: warning"
+        );
+    }
+
+    #[test]
+    fn budget_values_gate_in_points_and_pass_flags_are_timing_derived() {
+        let doc = parse(
+            r#"{"smoke": true, "threads": 2, "host_cores": 2, "suites": {"metrics": {
+                "budgets": [{"name": "attached_overhead_pct", "value": 2.0, "limit": 5.0,
+                             "pass": true, "enforced": true}]}}}"#,
+        );
+        let drift = |value: &str, pass: &str| {
+            parse(
+                &doc.to_string()
+                    .replace("\"value\":2.0", &format!("\"value\":{value}"))
+                    .replace("\"pass\":true", &format!("\"pass\":{pass}")),
+            )
+        };
+        assert!(
+            compare(&drift("3.5", "true"), &doc, 2.0).passed(),
+            "1.5pp < 2pp"
+        );
+        let over = compare(&drift("6.0", "false"), &doc, 2.0);
+        assert!(!over.passed(), "4pp > 2pp, and the flag flipped");
+        assert!(over
+            .failures
+            .iter()
+            .all(|f| !f.message.contains("identity")));
+        let limit = parse(&doc.to_string().replace("\"limit\":5.0", "\"limit\":6.0"));
+        assert!(
+            !compare(&limit, &doc, 100.0).passed(),
+            "a limit is identity"
         );
     }
 

@@ -20,12 +20,13 @@ use std::fs;
 use pcb_json::Json;
 
 use super::{packed::PackedState, ResumeError, Search, SearchPolicy};
-use crate::fleet::checkpoint::{hash_desc, write_atomic};
+use crate::fleet::checkpoint::{hash_desc, seal, unseal, write_atomic};
 use crate::fleet::CheckpointOptions;
 use crate::params::Params;
 
-/// Version stamp embedded in every search checkpoint.
-pub const FORMAT_VERSION: u64 = 1;
+/// Version stamp embedded in every search checkpoint (v2: the body
+/// digest).
+pub const FORMAT_VERSION: u64 = 2;
 
 fn fingerprint(params: Params, policy: SearchPolicy) -> u64 {
     hash_desc(&format!(
@@ -95,7 +96,7 @@ pub(super) fn save(
             flatten(search.seen.iter().flat_map(|shard| shard.payloads())),
         ),
     ]);
-    write_atomic(&opts.path, &format!("{json}\n"))
+    write_atomic(&opts.path, &seal(json))
         .map_err(|e| ResumeError::Checkpoint(format!("writing {}: {e}", opts.path.display())))
 }
 
@@ -110,14 +111,7 @@ pub(super) fn restore(
     let path = &opts.path;
     let fail = |msg: String| ResumeError::Checkpoint(format!("{}: {msg}", path.display()));
     let text = fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
-
-    let version = json.get("format_version").and_then(Json::as_u64);
-    if version != Some(FORMAT_VERSION) {
-        return Err(fail(format!(
-            "format version {version:?} (this build reads {FORMAT_VERSION})"
-        )));
-    }
+    let json = unseal(&text, FORMAT_VERSION).map_err(fail)?;
     if json.get("kind").and_then(Json::as_str) != Some("worst-case") {
         return Err(fail("not a worst-case search checkpoint".into()));
     }

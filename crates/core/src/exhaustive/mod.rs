@@ -573,9 +573,8 @@ impl Search {
         let _level_span = pcb_telemetry::span!("exhaustive.level");
         self.stats.levels += 1;
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.frontier.len());
-        pcb_telemetry::record_max("exhaustive.frontier_states", self.frontier.len() as u64);
-        // The same high-water marks on the metric plane (one relaxed
-        // load each when metrics are off).
+        // High-water marks on the metric plane (one relaxed load each
+        // when metrics are off).
         static FRONTIER_GAUGE: pcb_metrics::Gauge =
             pcb_metrics::Gauge::new("exhaustive.frontier_states");
         static LEVELS_GAUGE: pcb_metrics::Gauge = pcb_metrics::Gauge::new("exhaustive.levels");
@@ -643,11 +642,6 @@ impl Search {
         };
 
         let states: usize = self.seen.iter().map(Interner::len).sum();
-        pcb_telemetry::record_max("exhaustive.interned_states", states as u64);
-        pcb_telemetry::record_max(
-            "exhaustive.resident_bytes",
-            self.seen.iter().map(Interner::resident_bytes).sum(),
-        );
         static SEEN_GAUGE: pcb_metrics::Gauge =
             pcb_metrics::Gauge::new("exhaustive.interned_states");
         static RESIDENT_GAUGE: pcb_metrics::Gauge =

@@ -6,9 +6,9 @@
 //! deliberately unoptimized and sequential — its job is to be obviously
 //! faithful to the original algorithm so that
 //! [`try_worst_case`](super::try_worst_case) can be checked byte-for-byte
-//! against it (see `tests/search_equivalence.rs`) and so `search_bench`
-//! can measure the packed pipeline's space and throughput win against the
-//! honest "before".
+//! against it (see `tests/search_equivalence.rs`) and so the `search`
+//! bench suite can measure the packed pipeline's space and throughput win
+//! against the honest "before".
 
 use std::collections::HashSet;
 

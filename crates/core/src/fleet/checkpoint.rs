@@ -15,7 +15,10 @@
 //! `--threads 1` (or vice versa) without changing a byte of the output.
 //!
 //! Writes are atomic (temp file + rename), so a run killed mid-save
-//! leaves the previous checkpoint intact.
+//! leaves the previous checkpoint intact. Every checkpoint (this one and
+//! the exhaustive search's) carries a digest of its body, checked on
+//! load: an edited or corrupted checkpoint is refused instead of
+//! resuming into a wrong report.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -32,8 +35,9 @@ use crate::config::RunConfig;
 /// serialized layout or the fingerprint changes incompatibly (v2:
 /// waste-attribution vectors, per-bucket rollups, and the metric plane
 /// joined the accumulator; v3: the fingerprint no longer hashes an
-/// occupancy-map or manager-mirror implementation).
-pub const FORMAT_VERSION: u64 = 3;
+/// occupancy-map or manager-mirror implementation; v4: the body
+/// digest).
+pub const FORMAT_VERSION: u64 = 4;
 
 /// How a checkpointed fleet run behaves.
 #[derive(Debug, Clone)]
@@ -117,6 +121,37 @@ pub(crate) fn hash_desc(desc: &str) -> u64 {
         .fold(0x5bf0_3635_06e6_cedf, |h, b| splitmix64(h ^ u64::from(b)))
 }
 
+/// Adds a `digest` of the document's other fields (the format version
+/// included) and renders it for [`write_atomic`].
+pub(crate) fn seal(mut doc: Json) -> String {
+    let digest = hash_desc(&doc.to_string());
+    if let Json::Object(fields) = &mut doc {
+        fields.insert("digest".into(), Json::from(digest));
+    }
+    format!("{doc}\n")
+}
+
+/// Parses a document written by [`seal`]: its format version must be
+/// `version`, and its digest must match its other fields, so any edit to
+/// any field is refused.
+pub(crate) fn unseal(text: &str, version: u64) -> Result<Json, String> {
+    let mut doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let found = doc.get("format_version").and_then(Json::as_u64);
+    if found != Some(version) {
+        return Err(format!(
+            "format version {found:?} (this build reads {version})"
+        ));
+    }
+    let Json::Object(fields) = &mut doc else {
+        unreachable!("only an object has a format_version")
+    };
+    let stamped = fields.remove("digest").and_then(|d| d.as_u64());
+    if stamped != Some(hash_desc(&doc.to_string())) {
+        return Err("digest mismatch: the checkpoint was edited or corrupted".into());
+    }
+    Ok(doc)
+}
+
 /// Hash of every input that shapes the fleet result. The thread count
 /// is deliberately excluded (see the module docs).
 pub(crate) fn fingerprint(cfg: &FleetConfig, run: &RunConfig) -> u64 {
@@ -154,7 +189,7 @@ pub(crate) fn save(
         ("resident", Json::from(resident)),
         ("accumulator", accumulator_to_json(acc)),
     ]);
-    write_atomic(&opts.path, &format!("{json}\n"))
+    write_atomic(&opts.path, &seal(json))
         .map_err(|e| FleetError::Checkpoint(format!("writing {}: {e}", opts.path.display())))
 }
 
@@ -183,14 +218,7 @@ pub(crate) fn load(
     let path = &opts.path;
     let fail = |msg: String| FleetError::Checkpoint(format!("{}: {msg}", path.display()));
     let text = fs::read_to_string(path).map_err(|e| fail(format!("cannot read: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| fail(format!("invalid JSON: {e}")))?;
-
-    let version = json.get("format_version").and_then(Json::as_u64);
-    if version != Some(FORMAT_VERSION) {
-        return Err(fail(format!(
-            "format version {version:?} (this build reads {FORMAT_VERSION})"
-        )));
-    }
+    let json = unseal(&text, FORMAT_VERSION).map_err(fail)?;
     if json.get("kind").and_then(Json::as_str) != Some("fleet") {
         return Err(fail("not a fleet checkpoint".into()));
     }

@@ -12,14 +12,32 @@
 //! explicit flag the heartbeat turns on only when stderr is a terminal —
 //! a human is watching — and stays off when stderr is piped, so captured
 //! output and CI logs are unchanged.
+//!
+//! Every stderr line of the workspace goes through
+//! [`note!`](crate::note): a closed stderr (`pcb ... 2>&1 >/dev/null |
+//! true`) drops the line instead of panicking the way `eprintln!` does.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs::File;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use pcb_json::Json;
+
+/// Writes one line to stderr. A write error (a closed pipe, say) drops
+/// the line: stderr is a side channel and never decides an exit status.
+pub fn note_line(args: fmt::Arguments<'_>) {
+    let _ = writeln!(std::io::stderr().lock(), "{args}");
+}
+
+/// `eprintln!` that survives a closed stderr; see [`note_line`].
+#[macro_export]
+macro_rules! note {
+    ($($arg:tt)*) => {
+        $crate::progress::note_line(format_args!($($arg)*))
+    };
+}
 
 /// When the heartbeat emits.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -155,7 +173,7 @@ impl Heartbeat {
         for (name, value) in fields {
             let _ = write!(line, " | {name}={value}");
         }
-        eprintln!("{line}");
+        note_line(format_args!("{line}"));
 
         if let Some(out) = &mut self.stream {
             let mut obj = vec![

@@ -359,7 +359,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_substrate_counters();
         self.publish_metrics();
         Ok(self.report())
     }
@@ -380,7 +379,6 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(None)?;
         }
-        self.publish_substrate_counters();
         self.publish_metrics();
         Ok(self.summary())
     }
@@ -396,29 +394,8 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         while !self.program.finished() && self.round < self.max_rounds {
             self.step_round_inner(Some(observer))?;
         }
-        self.publish_substrate_counters();
         self.publish_metrics();
         Ok(self.report())
-    }
-
-    /// Publishes the occupancy map's telemetry counters (bitmap words
-    /// scanned, summary-level skips, interval high-water and reuse) as
-    /// high-water marks; a no-op while telemetry is disabled.
-    fn publish_substrate_counters(&self) {
-        if !pcb_telemetry::enabled() {
-            return;
-        }
-        if let Some(c) = self.heap.space().counters() {
-            pcb_telemetry::record_max("space.words_scanned", c.words_scanned);
-            pcb_telemetry::record_max("space.summary_skips", c.summary_skips);
-            pcb_telemetry::record_max("space.slot_high_water", c.slot_high_water);
-            pcb_telemetry::record_max("space.slots_reused", c.slots_reused);
-        }
-        if self.chaos_counters != ChaosCounters::default() {
-            pcb_telemetry::record_max("chaos.alloc_refusals", self.chaos_counters.alloc_refusals);
-            pcb_telemetry::record_max("chaos.budget_cuts", self.chaos_counters.budget_cuts);
-            pcb_telemetry::record_max("chaos.mirror_faults", self.chaos_counters.mirror_faults);
-        }
     }
 
     /// Publishes the run's totals into the `pcb-metrics` registry: engine
@@ -621,15 +598,14 @@ impl<P: Program, M: MemoryManager> Execution<P, M> {
         // Paranoia: cross-check the manager's mirror against the
         // ground truth every `paranoia` rounds. An injected corruption
         // is therefore detected within `paranoia` rounds of being
-        // planted; the observed latency is published as telemetry.
+        // planted; the observed latency is published as a metrics gauge.
         if self.paranoia != 0 && (self.round + 1).is_multiple_of(self.paranoia) {
             let _span = pcb_telemetry::span!("engine.paranoia");
             if let MirrorCheck::Divergent(detail) = self.manager.mirror_check(self.heap.space()) {
                 if let Some(injected) = self.mirror_fault_round {
-                    pcb_telemetry::record_max(
-                        "chaos.detection_latency_rounds",
-                        u64::from(self.round - injected),
-                    );
+                    static LATENCY: pcb_metrics::Gauge =
+                        pcb_metrics::Gauge::new("chaos.detection_latency_rounds");
+                    LATENCY.record_max(u64::from(self.round - injected));
                 }
                 return Err(ExecutionError::MirrorDivergence {
                     round: self.round,

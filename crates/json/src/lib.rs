@@ -398,16 +398,26 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // at char boundaries is safe via char_indices logic).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. Only its own bytes are
+                    // decoded: validating the whole rest of the input per
+                    // character made parsing quadratic in document size.
+                    let width = match b {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let ch = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     if (ch as u32) < 0x20 {
                         return Err(self.err("control character in string"));
                     }
                     out.push(ch);
-                    self.pos += ch.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -493,7 +503,7 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = Json::Str("tab\t quote\" slash\\ unicode\u{1F600}".to_string());
+        let original = Json::Str("tab\t quote\" slash\\ unicode é € \u{1F600}".to_string());
         let reparsed = Json::parse(&original.to_string()).unwrap();
         assert_eq!(reparsed, original);
         let surrogate = Json::parse(r#""😀""#).unwrap();

@@ -22,7 +22,7 @@
 //! [`MetricsSnapshot`] is an exact integer derived from the simulated
 //! run, so snapshots can be embedded in reports that are compared
 //! byte-for-byte. Timing lives elsewhere — the heartbeat's stderr/JSONL
-//! stream and the `BENCH_*.json` timing keys — mirroring the
+//! stream and the `pcb bench run` artifact's timing keys — mirroring the
 //! timing/identity key split `pcb bench diff` enforces.
 //!
 //! ## Recording

@@ -17,11 +17,10 @@
 //!   trace-event document loadable in Perfetto or `chrome://tracing`.
 //! * **Profiles** — [`Profile::from_trace`] aggregates spans by name into
 //!   count / total / mean / max / self-time rows with a text table.
-//! * **High-water counters** — [`record_max`] ratchets a named gauge
-//!   upward for memory-shaped quantities spans cannot express (resident
-//!   bytes of the exhaustive search's seen-set, peak BFS frontier
-//!   width); they drain with the trace and land under `otherData` in the
-//!   Chrome export.
+//!
+//! Counters and gauges (resident bytes, peak BFS frontier width, bitmap
+//! scan counts) live in the `pcb-metrics` registry, the one counter
+//! store; telemetry keeps only spans.
 //!
 //! ```
 //! use pcb_telemetry as telemetry;
@@ -53,8 +52,7 @@ mod registry;
 
 pub use profile::{Profile, ProfileRow};
 pub use registry::{
-    disable, enable, enabled, record_max, reset, take_trace, CounterRecord, SpanGuard, SpanRecord,
-    Trace, TrackInfo,
+    disable, enable, enabled, reset, take_trace, SpanGuard, SpanRecord, Trace, TrackInfo,
 };
 
 /// Opens a span covering the rest of the enclosing scope; bind the result

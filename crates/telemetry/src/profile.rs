@@ -146,7 +146,6 @@ mod tests {
                 id: 0,
                 name: "main".into(),
             }],
-            counters: Vec::new(),
             dropped: 0,
         };
         let profile = Profile::from_trace(&trace);
@@ -166,7 +165,6 @@ mod tests {
         let trace = Trace {
             spans: vec![span("engine.run", 0, 2_500_000, 0)],
             tracks: Vec::new(),
-            counters: Vec::new(),
             dropped: 0,
         };
         let table = Profile::from_trace(&trace).render_table();

@@ -17,7 +17,6 @@
 //!    trace export — `par_map` shard lifetimes render as parallel lanes.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -43,12 +42,6 @@ static GLOBAL: Mutex<Global> = Mutex::new(Global {
     spans: Vec::new(),
     tracks: Vec::new(),
 });
-
-/// High-water counters: named gauges that only ratchet upward, for
-/// memory-shaped quantities (resident bytes, peak frontier width) that
-/// spans cannot express. Updated at coarse cadence (per BFS level, per
-/// phase), so one mutex is fine — this is nowhere near a hot path.
-static COUNTERS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
 
 /// All timestamps are nanoseconds since the first clock read in the
 /// process, so every track shares one time base.
@@ -78,27 +71,6 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Ratchets the high-water counter `name` up to at least `value`. A
-/// no-op (one relaxed load and a branch) while the registry is disabled,
-/// like [`SpanGuard::enter`].
-pub fn record_max(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut counters = COUNTERS.lock().expect("counter lock");
-    let entry = counters.entry(name).or_insert(0);
-    *entry = (*entry).max(value);
-}
-
-/// One high-water counter at trace collection time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterRecord {
-    /// The counter's name as given to [`record_max`].
-    pub name: &'static str,
-    /// The largest value recorded.
-    pub value: u64,
 }
 
 /// One finished span.
@@ -143,8 +115,6 @@ pub struct Trace {
     pub spans: Vec<SpanRecord>,
     /// Tracks in id order.
     pub tracks: Vec<TrackInfo>,
-    /// High-water counters recorded via [`record_max`], in name order.
-    pub counters: Vec<CounterRecord>,
     /// Spans discarded by the retention cap (0 in any sane run).
     pub dropped: u64,
 }
@@ -300,16 +270,11 @@ pub fn take_trace() -> Trace {
     let mut spans = std::mem::take(&mut global.spans);
     let mut tracks = global.tracks.clone();
     drop(global);
-    let counters = std::mem::take(&mut *COUNTERS.lock().expect("counter lock"))
-        .into_iter()
-        .map(|(name, value)| CounterRecord { name, value })
-        .collect();
     spans.sort_by_key(|s| (s.track, s.start_ns, std::cmp::Reverse(s.dur_ns)));
     tracks.sort_by_key(|t| t.id);
     Trace {
         spans,
         tracks,
-        counters,
         dropped: DROPPED.swap(0, Ordering::Relaxed),
     }
 }

@@ -171,32 +171,3 @@ fn profile_rows_match_span_volume() {
         assert!(profile.render_table().contains("repeated"));
     });
 }
-
-#[test]
-fn counters_ratchet_upward_and_drain_with_the_trace() {
-    exclusive(|| {
-        telemetry::record_max("hwm.disabled", 99);
-        telemetry::enable();
-        telemetry::record_max("hwm.bytes", 10);
-        telemetry::record_max("hwm.bytes", 500);
-        telemetry::record_max("hwm.bytes", 30); // lower: no effect
-        telemetry::record_max("hwm.frontier", 7);
-        telemetry::disable();
-        let trace = telemetry::take_trace();
-        assert_eq!(trace.counters.len(), 2, "disabled counter not recorded");
-        assert_eq!(trace.counters[0].name, "hwm.bytes");
-        assert_eq!(trace.counters[0].value, 500);
-        assert_eq!(trace.counters[1].name, "hwm.frontier");
-        assert_eq!(trace.counters[1].value, 7);
-        // Drained: a second take has no counters.
-        assert!(telemetry::take_trace().counters.is_empty());
-        // And they surface in the Chrome export under otherData.
-        let doc = trace.to_json();
-        let exported = doc
-            .get("otherData")
-            .and_then(|d| d.get("counters"))
-            .and_then(|c| c.get("hwm.bytes"))
-            .and_then(Json::as_f64);
-        assert_eq!(exported, Some(500.0));
-    });
-}

@@ -120,6 +120,12 @@ const BENCH_DIFF: Group = Group { name: "bench diff", flags: &[
     value("--tolerance", "<pct>", "timing tolerance in percent (default 10)"),
 ]};
 
+#[rustfmt::skip]
+const BENCH_RUN: Group = Group { name: "bench run", flags: &[
+    switch("--smoke", "shrink every suite to CI scale"),
+    value("--trace-out", "<file.json>", "engine span trace of the traced suites (Perfetto)"),
+]};
+
 /// Run group: the fault schedule.
 #[rustfmt::skip]
 const CHAOS: Group = Group { name: "chaos", flags: &[
@@ -178,6 +184,12 @@ pub const COMMANDS: &[Command] = &[
               about: "simulate a fleet of tenant heaps" },
     Command { name: "bench diff", operands: "<new.json>", arity: (0, 1), groups: &[&BENCH_DIFF],
               about: "compare a benchmark artifact against a baseline" },
+    Command { name: "bench run", operands: "[<suite>...]", arity: (0, usize::MAX),
+              groups: &[&BENCH_RUN],
+              about: "run the benchmark suites (default all); the artifact goes to\n\
+                      stdout, and a failed enforced budget fails the run" },
+    Command { name: "experiment", operands: "<e5|e6|e7|e9>", arity: (1, 1), groups: &[],
+              about: "print an experiment's table as CSV" },
     Command { name: "sweep", arity: (4, 6), groups: &[],
               operands: "<bound> c <M_words> <log2_n> <c_from> <c_to>\n\
                          <bound> n <M_over_n> <c> <logn_from> <logn_to>\n\
@@ -479,6 +491,8 @@ mod tests {
                  --progress-out",
             ),
             ("bench diff", "--against --tolerance"),
+            ("bench run", "--smoke --trace-out"),
+            ("experiment", ""),
             ("sweep", ""),
             (
                 "worst-case",

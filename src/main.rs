@@ -8,13 +8,14 @@
 mod cli;
 
 use std::io::{ErrorKind, Write};
+use std::path::Path;
 use std::process::ExitCode;
 
 use cli::{parse_value as value, Args, Mix};
 use partial_compaction::heap::{heat_map_rows, Execution, Heap, Program, Trace, TraceRecorder};
 use partial_compaction::progress::{Heartbeat, ProgressMode};
 use partial_compaction::workload::{tenant_by_kind, TenantShape};
-use partial_compaction::{benchdiff, bounds, figures, fleet, metrics, reproduce, telemetry};
+use partial_compaction::{benchdiff, bounds, figures, fleet, metrics, note, reproduce, telemetry};
 use partial_compaction::{ManagerKind, Params, PfConfig, PfProgram, PfVariant, RobsonProgram};
 use partial_compaction::{Observers, TimeSeries, TraceWriter};
 use pcb_json::{Json, ToJson};
@@ -22,7 +23,8 @@ use pcb_json::{Json, ToJson};
 type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 const BENCH_USAGE: &str = "bench supports: diff <new.json> --against <baseline.json> \
-                           [--tolerance <pct>]";
+                           [--tolerance <pct>], run [--smoke] [--trace-out <file.json>] \
+                           [<suite>...]";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +39,7 @@ fn main() -> ExitCode {
             .and_then(|args| run(cmd.name, &args, &mut out)),
         None if argv.first().is_some_and(|a| a == "bench") => Err(BENCH_USAGE.into()),
         None => {
-            eprint!("{}", cli::usage());
+            note!("{}", cli::usage().trim_end());
             return ExitCode::from(2);
         }
     };
@@ -50,7 +52,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            note!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -66,6 +68,8 @@ fn run(name: &str, args: &Args, out: &mut dyn Write) -> Result<ExitCode> {
         "replay" => cmd_replay(&ops[0], out)?,
         "fleet" => cmd_fleet(args, out)?,
         "bench diff" => return cmd_bench_diff(args, out),
+        "bench run" => return cmd_bench_run(args, out),
+        "experiment" => pcb_bench::experiment(&ops[0], out)?,
         "sweep" => cmd_sweep(ops, out)?,
         "worst-case" => cmd_worst_case(args, out)?,
         _ => {
@@ -91,7 +95,7 @@ fn write_metrics(path: &str, snap: &metrics::MetricsSnapshot) -> Result {
     std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;
     let (counters, gauges) = (snap.counters().count(), snap.gauges().count());
     let histograms = snap.histograms().count();
-    eprintln!("metrics: {counters} counters / {gauges} gauges / {histograms} histograms -> {path}");
+    note!("metrics: {counters} counters / {gauges} gauges / {histograms} histograms -> {path}");
     Ok(())
 }
 
@@ -389,7 +393,7 @@ fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result {
                 shards_total,
             } => {
                 let path = opts.path.display();
-                eprintln!(
+                note!(
                     "paused after {shards_done}/{shards_total} shards; \
                      checkpoint -> {path} (continue with --resume)"
                 );
@@ -410,7 +414,7 @@ fn cmd_fleet(args: &Args, out: &mut dyn Write) -> Result {
     // Wall-clock goes to stderr only: the report itself (stdout and JSON)
     // is byte-deterministic across thread counts and machines.
     let (tenants, rate) = (report.tenants, report.tenants as f64 / elapsed.max(1e-9));
-    eprintln!("ran {tenants} tenants in {elapsed:.2}s ({rate:.0} tenants/sec, {run})");
+    note!("ran {tenants} tenants in {elapsed:.2}s ({rate:.0} tenants/sec, {run})");
     Ok(())
 }
 
@@ -429,6 +433,24 @@ fn cmd_bench_diff(args: &Args, out: &mut dyn Write) -> Result<ExitCode> {
     )?;
     write!(out, "{}", report.render())?;
     Ok(if report.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+fn cmd_bench_run(args: &Args, out: &mut dyn Write) -> Result<ExitCode> {
+    let suites = match args.operands.as_slice() {
+        [] => pcb_bench::suites::ALL.iter().collect(),
+        names => names
+            .iter()
+            .map(|name| pcb_bench::suites::find(name))
+            .collect::<std::result::Result<Vec<_>, _>>()?,
+    };
+    let trace_out = args.get::<String>("--trace-out")?;
+    let smoke = args.has("--smoke");
+    let held = pcb_bench::harness::run(&suites, smoke, trace_out.as_deref().map(Path::new), out)?;
+    Ok(if held {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -491,7 +513,7 @@ fn cmd_worst_case(args: &Args, out: &mut dyn Write) -> Result {
             SearchOutcome::Complete(report) => report,
             SearchOutcome::Paused { levels_done } => {
                 let path = opts.path.display();
-                eprintln!(
+                note!(
                     "paused after {levels_done} BFS levels; \
                      checkpoint -> {path} (continue with --resume)"
                 );

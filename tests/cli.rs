@@ -76,33 +76,49 @@ fn figure_and_reproduce_reject_unknown_flags() {
 #[test]
 fn closed_stdout_is_a_clean_exit() {
     use std::io::{BufRead, BufReader};
-    use std::process::Stdio;
-    let spawn = || {
+    use std::process::{Child, Stdio};
+    let spawn = |args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_pcb"))
-            .args(["figure", "1"])
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
             .expect("binary runs")
     };
-    let finish = |child: std::process::Child| {
+    let finish = |child: Child, code: i32| {
         let out = child.wait_with_output().expect("binary exits");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(!stderr.contains("panicked"), "{stderr}");
-        assert!(out.status.success(), "{:?}: {stderr}", out.status);
+        assert_eq!(out.status.code(), Some(code), "{stderr}");
     };
     // Read one line, then close the pipe.
-    let mut child = spawn();
+    let mut child = spawn(&["figure", "1"]);
     let mut line = String::new();
     BufReader::new(child.stdout.take().unwrap())
         .read_line(&mut line)
         .unwrap();
     assert_eq!(line, "bp11,c,h,rho\n");
-    finish(child);
-    // Close the pipe before the first write: every write fails.
-    let mut child = spawn();
-    drop(child.stdout.take());
-    finish(child);
+    finish(child, 0);
+    // Close a pipe before the first write: every write to it fails, and
+    // the exit status is the one an open pipe gives.
+    let rows: [(&[&str], bool, i32); 3] = [
+        (&["figure", "1"], true, 0),
+        (&["bounds", "16", "4", "10"], false, 1),
+        (
+            &["fleet", "--tenants", "200", "--progress=0", "--json"],
+            false,
+            0,
+        ),
+    ];
+    for (args, stdout, code) in rows {
+        let mut child = spawn(args);
+        if stdout {
+            drop(child.stdout.take());
+        } else {
+            drop(child.stderr.take());
+        }
+        finish(child, code);
+    }
 }
 
 #[test]
@@ -552,6 +568,49 @@ fn bench_diff_rejects_missing_arguments() {
     let (_, stderr, ok) = pcb(&["bench"]);
     assert!(!ok);
     assert!(stderr.contains("bench supports: diff"), "{stderr}");
+}
+
+#[test]
+fn bench_run_writes_one_artifact_to_stdout() {
+    let (stdout, stderr, ok) = pcb(&["bench", "run", "--smoke", "figures", "allocators"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.lines().count(), 1, "one JSON line");
+    let artifact = pcb_json::Json::parse(&stdout).expect("the artifact is JSON");
+    assert_eq!(artifact.get("smoke"), Some(&pcb_json::Json::Bool(true)));
+    let suites = artifact.get("suites").expect("suites");
+    for suite in ["figures", "allocators"] {
+        let cells = suites.get(suite).and_then(|s| s.get("cells"));
+        let cells = cells.and_then(pcb_json::Json::as_array).expect("cells");
+        assert!(!cells.is_empty(), "{suite}");
+        for cell in cells {
+            for key in ["name", "seconds", "throughput"] {
+                assert!(cell.get(key).is_some(), "{suite} cell without {key}");
+            }
+        }
+    }
+    assert!(suites.get("fleet").is_none(), "only the named suites run");
+    let (_, stderr, ok) = pcb(&["bench", "run", "--smoke", "bogus"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown suite bogus"), "{stderr}");
+}
+
+#[test]
+fn experiment_prints_its_table() {
+    let (stdout, stderr, ok) = pcb(&["experiment", "e9"]);
+    assert!(ok, "{stderr}");
+    let mut lines = stdout.lines();
+    assert_eq!(
+        lines.next(),
+        Some("# E9: benchmark vs worst case (M = 2^14, n = 2^8 words, c = 20)")
+    );
+    assert_eq!(
+        lines.next(),
+        Some("fraction_of_worst,manager,waste,workload,worst_case_h")
+    );
+    assert_eq!(lines.count(), 20, "5 managers x 4 workloads");
+    let (_, stderr, ok) = pcb(&["experiment", "e8"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown experiment e8"), "{stderr}");
 }
 
 #[test]
